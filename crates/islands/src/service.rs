@@ -371,6 +371,15 @@ impl RunManager {
             label: label.clone(),
             hub: Arc::clone(&hub),
         });
+        let sampler = Self::spawn_sampler(
+            self.registry.clone(),
+            label,
+            pool.clone(),
+            Arc::clone(&progress),
+            Arc::clone(&status),
+            opts.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
+        );
+        let sampler_thread = sampler.thread().clone();
         let worker_status = Arc::clone(&status);
         let worker_hub = Arc::clone(&hub);
         let worker = std::thread::spawn(move || {
@@ -383,19 +392,14 @@ impl RunManager {
                     Err(err) => RunStatus::Failed(err.to_string()),
                 };
             }
+            // Wake the sampler for its final sample now rather than at
+            // the end of its interval.
+            sampler_thread.unpark();
             // Close the stream as soon as the run ends — subscribers
             // see end-of-stream without waiting for a join.
             worker_hub.close();
             result
         });
-        let sampler = Self::spawn_sampler(
-            self.registry.clone(),
-            label,
-            pool.clone(),
-            Arc::clone(&progress),
-            Arc::clone(&status),
-            opts.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
-        );
         self.runs.insert(
             id,
             RunHandle {
@@ -533,6 +537,7 @@ impl RunManager {
             let result = worker.join().expect("archipelago thread panicked");
             run.hub.close();
             if let Some(sampler) = run.sampler.take() {
+                sampler.thread().unpark();
                 let _ = sampler.join();
             }
             // Cache for idempotent repeats, return the typed original.
@@ -613,17 +618,12 @@ impl RunManager {
             if !running {
                 return;
             }
-            // Sleep in short slices so the sampler notices the run
-            // ending within ~25 ms instead of a full interval.
-            let mut remaining = interval;
-            while !remaining.is_zero() {
-                let slice = remaining.min(Duration::from_millis(25));
-                std::thread::sleep(slice);
-                remaining = remaining.saturating_sub(slice);
-                if !matches!(*status.lock().expect("status lock"), RunStatus::Running) {
-                    break;
-                }
-            }
+            // The worker unparks this thread once the run leaves
+            // `Running`, so the final sample follows the run's end
+            // immediately. An unpark that lands before the park is
+            // kept as a token, and a spurious wakeup only takes one
+            // extra sample.
+            std::thread::park_timeout(interval);
         })
     }
 }
@@ -638,6 +638,7 @@ impl Drop for RunManager {
             }
             run.hub.close();
             if let Some(sampler) = run.sampler.take() {
+                sampler.thread().unpark();
                 let _ = sampler.join();
             }
         }

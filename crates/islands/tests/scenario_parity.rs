@@ -4,10 +4,12 @@
 //!
 //! 1. **Fixture parity** — a default config (K = 1, default
 //!    [`e3_envs::ScenarioParams`]) reproduces the pre-scenario
-//!    platform bit for bit. The constants below were captured from the
-//!    commit *before* the scenario refactor (population 24, seed 42,
-//!    five stepped generations) and must never drift: they are the
-//!    proof that the vanilla gate really takes the legacy path.
+//!    platform bit for bit. The constants below were captured before
+//!    the scenario refactor (population 24, seed 42, five stepped
+//!    generations) and must never drift: they are the proof that the
+//!    vanilla gate's K = 1 shared-seed spec, run through every
+//!    evaluation kernel (batched, JIT scalar, INAX wave loop), replays
+//!    the legacy fixed-env evaluation exactly.
 //! 2. **Scenario determinism** — multi-scenario training is a pure
 //!    function of the config: sampled parameters and final
 //!    populations are bit-identical across thread counts (1/4/8) and
@@ -19,15 +21,22 @@ use e3_islands::island_seed;
 use e3_islands::scheduler::population_fingerprint;
 use e3_platform::telemetry::NullCollector;
 use e3_platform::{
-    BackendKind, E3Config, E3Platform, FitnessAggregation, ScenarioConfig, ScenarioSpec,
+    BackendKind, E3Config, E3Platform, FitnessAggregation, JitConfig, ScenarioConfig, ScenarioSpec,
 };
 use proptest::prelude::*;
 
 /// Pre-refactor golden fixtures: `(env, population fingerprint,
-/// per-generation best-fitness bits)` for population 24, seed 42,
-/// five generations. Captured on the commit before the scenario
-/// refactor; identical across E3-CPU/E3-INAX and threads 1/4 there.
-const GOLDEN: &[(EnvId, u64, [u64; 5])] = &[
+/// per-generation best-fitness bits, modeled-time bits, INAX cycles)`
+/// for population 24, seed 42, five generations. The fingerprint and
+/// best-fitness columns were captured on the commit before the
+/// scenario refactor and are identical for every backend, thread count
+/// and JIT setting. The modeled-time column holds the bits of
+/// `profile().total()` per backend in [`BackendKind::ALL`] order
+/// (CPU, GPU, INAX), and the last column the run's INAX
+/// `total_cycles`; both were captured on the commit before the
+/// fixed-env kernels folded into the scenario kernels.
+#[allow(clippy::type_complexity)]
+const GOLDEN: &[(EnvId, u64, [u64; 5], [u64; 3], u64)] = &[
     (
         EnvId::CartPole,
         0xc976_7a05_eaca_6125,
@@ -38,6 +47,12 @@ const GOLDEN: &[(EnvId, u64, [u64; 5])] = &[
             0x407f_4000_0000_0000,
             0x407f_4000_0000_0000,
         ],
+        [
+            0x4005_1779_e9d0_e994,
+            0x4055_d729_111f_a6d4,
+            0x3fbd_7c32_1526_01f1,
+        ],
+        295_065,
     ),
     (
         EnvId::Pendulum,
@@ -49,14 +64,31 @@ const GOLDEN: &[(EnvId, u64, [u64; 5])] = &[
             0xc093_a02c_5a4c_6ec1,
             0xc08c_3ed7_8450_ce1e,
         ],
+        [
+            0x4004_a29e_9079_5f68,
+            0x405d_3bf9_46a8_5aff,
+            0x3fc1_a69c_ed0b_30b6,
+        ],
+        178_625,
     ),
 ];
 
-fn fixture_run(env: EnvId, backend: BackendKind, threads: usize) -> (u64, Vec<u64>) {
+/// One fixture run's `(population fingerprint, best-fitness bits,
+/// modeled-time bits, INAX total cycles)`.
+fn fixture_run(
+    env: EnvId,
+    backend: BackendKind,
+    threads: usize,
+    jit: bool,
+) -> (u64, Vec<u64>, u64, u64) {
     let config = E3Config::builder(env)
         .population_size(24)
         .max_generations(5)
         .threads(threads)
+        .jit(JitConfig {
+            enabled: jit,
+            ..JitConfig::default()
+        })
         .build();
     let mut platform = E3Platform::new(config, backend, 42);
     let mut bests = Vec::new();
@@ -66,24 +98,52 @@ fn fixture_run(env: EnvId, backend: BackendKind, threads: usize) -> (u64, Vec<u6
             .expect("fixture step succeeds");
         bests.push(best.to_bits());
     }
-    (population_fingerprint(platform.population()), bests)
+    let cycles = platform
+        .capture_state()
+        .hw_report
+        .map_or(0, |report| report.total_cycles);
+    (
+        population_fingerprint(platform.population()),
+        bests,
+        platform.profile().total().to_bits(),
+        cycles,
+    )
 }
 
+/// Every evaluation route a default config can take: the batched
+/// software kernel (CPU, GPU), the INAX wave loop, and the scalar
+/// software kernel the JIT tier selects — each at 1 and 4 threads.
 #[test]
 fn default_config_matches_pre_scenario_fixtures() {
-    for &(env, fingerprint, bests) in GOLDEN {
-        for backend in [BackendKind::Cpu, BackendKind::Inax] {
-            for threads in [1usize, 4] {
-                let (pop, run_bests) = fixture_run(env, backend, threads);
-                assert_eq!(
-                    pop, fingerprint,
-                    "{env:?}/{backend:?}@{threads} population diverged from pre-scenario fixture"
-                );
-                assert_eq!(
-                    run_bests,
-                    bests.to_vec(),
-                    "{env:?}/{backend:?}@{threads} fitness trajectory diverged"
-                );
+    for &(env, fingerprint, bests, modeled, cycles) in GOLDEN {
+        for (slot, backend) in BackendKind::ALL.into_iter().enumerate() {
+            let jit_settings: &[bool] = if backend == BackendKind::Cpu {
+                &[false, true]
+            } else {
+                &[false]
+            };
+            for &jit in jit_settings {
+                for threads in [1usize, 4] {
+                    let run = format!("{env:?}/{backend:?}@{threads} jit={jit}");
+                    let (pop, run_bests, run_modeled, run_cycles) =
+                        fixture_run(env, backend, threads, jit);
+                    assert_eq!(
+                        pop, fingerprint,
+                        "{run} population diverged from pre-scenario fixture"
+                    );
+                    assert_eq!(
+                        run_bests,
+                        bests.to_vec(),
+                        "{run} fitness trajectory diverged"
+                    );
+                    assert_eq!(run_modeled, modeled[slot], "{run} modeled time diverged");
+                    let expected_cycles = if backend == BackendKind::Inax {
+                        cycles
+                    } else {
+                        0
+                    };
+                    assert_eq!(run_cycles, expected_cycles, "{run} INAX cycles diverged");
+                }
             }
         }
     }
@@ -119,8 +179,8 @@ proptest! {
         let config = ScenarioConfig::default()
             .train(ScenarioDistribution::moderate())
             .scenarios_per_eval(k);
-        let a = ScenarioSpec::for_generation(&config, run_seed, generation, population);
-        let b = ScenarioSpec::for_generation(&config, run_seed, generation, population);
+        let a = ScenarioSpec::for_generation(&config, run_seed, generation, population, 0);
+        let b = ScenarioSpec::for_generation(&config, run_seed, generation, population, 0);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.params.len(), k);
         prop_assert_eq!(a.episode_seeds.len(), k * population);
@@ -213,8 +273,8 @@ fn islands_draw_distinct_deterministic_scenario_distributions() {
     let mut specs = Vec::new();
     for island in 0..3 {
         let seed = island_seed(base_seed, island);
-        let spec = ScenarioSpec::for_generation(&config, seed, 0, 10);
-        let again = ScenarioSpec::for_generation(&config, seed, 0, 10);
+        let spec = ScenarioSpec::for_generation(&config, seed, 0, 10, 0);
+        let again = ScenarioSpec::for_generation(&config, seed, 0, 10, 0);
         assert_eq!(
             spec, again,
             "island {island} scenarios must be reproducible"

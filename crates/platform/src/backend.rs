@@ -7,8 +7,10 @@
 //! executed and therefore how long it takes (paper §VI-A's three
 //! settings).
 //!
-//! The primary entry point is the fallible
-//! [`EvalBackend::try_evaluate_population`]: a genome that cannot be
+//! Each backend has one kernel per execution style — software scalar,
+//! software batched, INAX wave loop — over a [`ScenarioSpec`]; the
+//! fixed-env entry point [`EvalBackend::try_evaluate_population`] is
+//! its K = 1 case. Evaluation is fallible: a genome that cannot be
 //! lowered to a feed-forward network surfaces as
 //! [`EvalError::NotFeedForward`] instead of a panic, so callers (the
 //! platform loop, sweeps, long benchmark campaigns) can decide how to
@@ -166,47 +168,98 @@ pub struct EvalOutcome {
 }
 
 /// The "evaluate" phase executor.
+///
+/// Evaluation is always over a [`ScenarioSpec`]: every genome runs one
+/// episode per sampled world and its per-world fitnesses aggregate into
+/// one. A backend implements the scalar kernel (and optionally a
+/// batched one) once; the fixed-env entry points
+/// [`EvalBackend::try_evaluate_population`] and
+/// [`EvalBackend::try_evaluate_population_batched`] are the K = 1 case
+/// ([`ScenarioSpec::fixed_env`]).
 pub trait EvalBackend {
     /// Backend identity.
     fn kind(&self) -> BackendKind;
 
-    /// Evaluates every genome on one episode of `env` started from
-    /// `episode_seed`, returning fitnesses and modeled timing, or an
-    /// [`EvalError`] if any genome cannot be executed.
+    /// Evaluates every genome over the spec's K scenarios with the
+    /// scalar per-genome path, returning aggregated fitnesses and
+    /// modeled timing, or an [`EvalError`] if any genome cannot be
+    /// executed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec has no scenario or its episode-seed matrix is
+    /// not `genomes.len() × K`.
+    fn try_evaluate_population_scenarios(
+        &mut self,
+        genomes: &[Genome],
+        env: EnvId,
+        spec: &ScenarioSpec,
+    ) -> Result<EvalOutcome, EvalError>;
+
+    /// Evaluates every genome over the spec's K scenarios through the
+    /// population-major batched pipeline where the backend supports
+    /// it.
+    ///
+    /// The contract is strict: the returned [`EvalOutcome`] must be
+    /// **bit-identical** to
+    /// [`EvalBackend::try_evaluate_population_scenarios`] on the same
+    /// arguments (with the `fast-math` cargo feature off). The default
+    /// implementation simply delegates to the scalar path, so backends
+    /// without a batched kernel are automatically conformant; the
+    /// software backends (CPU, GPU) override it with the
+    /// [`e3_neat::PlanBatch`] + [`e3_envs::BatchEnv`] lockstep kernel,
+    /// which shards the population per-worker instead of
+    /// per-individual.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`EvalBackend::try_evaluate_population_scenarios`].
+    fn try_evaluate_population_scenarios_batched(
+        &mut self,
+        genomes: &[Genome],
+        env: EnvId,
+        spec: &ScenarioSpec,
+    ) -> Result<EvalOutcome, EvalError> {
+        self.try_evaluate_population_scenarios(genomes, env, spec)
+    }
+
+    /// Evaluates every genome on one default-physics episode of `env`
+    /// started from `episode_seed`: the scalar kernel on the K = 1
+    /// [`ScenarioSpec::fixed_env`] spec.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`EvalBackend::try_evaluate_population_scenarios`].
     fn try_evaluate_population(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
         episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError>;
+    ) -> Result<EvalOutcome, EvalError> {
+        let spec = ScenarioSpec::fixed_env(episode_seed, genomes.len());
+        self.try_evaluate_population_scenarios(genomes, env, &spec)
+    }
 
-    /// Evaluates every genome through the population-major batched
-    /// pipeline where the backend supports it.
-    ///
-    /// The contract is strict: the returned [`EvalOutcome`] must be
-    /// **bit-identical** to [`EvalBackend::try_evaluate_population`]
-    /// on the same arguments (with the `fast-math` cargo feature off).
-    /// The default implementation simply delegates to the scalar path,
-    /// so backends without a batched kernel are automatically
-    /// conformant; the software backends (CPU, GPU) override it with
-    /// the [`e3_neat::PlanBatch`] + [`e3_envs::BatchEnv`] lockstep
-    /// kernel, which shards the population per-worker instead of
-    /// per-individual.
+    /// Batched twin of [`EvalBackend::try_evaluate_population`]:
+    /// [`EvalBackend::try_evaluate_population_scenarios_batched`] on
+    /// the K = 1 [`ScenarioSpec::fixed_env`] spec, bit-identical to the
+    /// scalar entry point.
     ///
     /// # Errors
     ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
+    /// Same as [`EvalBackend::try_evaluate_population_scenarios`].
     fn try_evaluate_population_batched(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
         episode_seed: u64,
     ) -> Result<EvalOutcome, EvalError> {
-        self.try_evaluate_population(genomes, env, episode_seed)
+        let spec = ScenarioSpec::fixed_env(episode_seed, genomes.len());
+        self.try_evaluate_population_scenarios_batched(genomes, env, &spec)
     }
 
     /// Takes (consumes) the executor statistics of the most recent
-    /// successful `try_evaluate_population` call.
+    /// successful evaluation.
     ///
     /// The default returns [`ExecStatsState::Unavailable`]: the backend
     /// runs no executor and can never produce stats. Backends that *do*
@@ -265,13 +318,33 @@ pub(crate) fn run_software_episode(
     }
 }
 
+/// A shard's result for one work item (a genome row or an INAX wave),
+/// or the lowest-indexed decode failure the item hit.
+type ShardRow<T> = Result<T, (usize, DecodeError)>;
+
 /// Per-genome `(fitness, steps, inference_seconds)` row of a software
 /// evaluation, or the decode failure for that genome.
-type SoftwareRow = Result<(f64, u64, f64), (usize, DecodeError)>;
+type SoftwareRow = ShardRow<(f64, u64, f64)>;
 
 /// Population-order `(fitness, steps, inference_seconds)` rows plus the
 /// executor's observability counters for the run.
 type SoftwareRun = (Vec<(f64, u64, f64)>, ExecStats);
+
+/// Unwraps shard results in item order. Shards are contiguous index
+/// ranges and each item reports its lowest-indexed decode failure, so
+/// the first error in order is the lowest-indexed one — the serial
+/// loop's first-failure semantics.
+fn collect_rows<T>(results: Vec<ShardRow<T>>) -> Result<Vec<T>, EvalError> {
+    results
+        .into_iter()
+        .map(|row| {
+            row.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
+                genome_index,
+                reason,
+            })
+        })
+        .collect()
+}
 
 /// Shard size for software evaluation: ~4 shards per worker so work
 /// stealing can absorb episode-length imbalance without flooding the
@@ -279,71 +352,6 @@ type SoftwareRun = (Vec<(f64, u64, f64)>, ExecStats);
 /// on timing, so every run produces the same shard plan.
 fn software_shard_size(items: usize, workers: usize) -> usize {
     items.div_ceil(workers.max(1) * 4).max(1)
-}
-
-/// Evaluates every genome in software on the given executor: decode
-/// (through the per-worker cache) then run one episode, pricing each
-/// inference with `cost`. Returns per-genome rows in population order
-/// plus the executor stats.
-///
-/// Bit-identical to a serial loop: shard tasks depend only on genome
-/// index, and rows are reduced lowest-index-first (see `e3-exec`'s
-/// determinism contract).
-fn run_software_population<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    episode_seed: u64,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&Network) -> f64 + Send + Sync + 'static,
-{
-    let pop: Arc<[Genome]> = genomes.into();
-    let shard_size = software_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let mut env = env_id.make();
-        range
-            .map(|i| -> SoftwareRow {
-                let mut individual_span = tracer.span("individual", "eval");
-                individual_span.arg("genome_index", i as f64);
-                // Tier selection: the interpreted network, or (for hot
-                // entries under an enabled JIT policy) its natively
-                // compiled twin — bit-identical either way.
-                let mut tier = scratch
-                    .cache()
-                    .get_or_tiered(&pop[i])
-                    .map_err(|reason| (i, reason))?;
-                let per_inference = cost(tier.net());
-                let mut episode_span = tracer.start("episode", "env");
-                let (fitness, steps) =
-                    run_software_episode(tier.forward(), env.as_mut(), episode_seed);
-                episode_span.arg("steps", steps as f64);
-                episode_span.finish();
-                Ok((fitness, steps, per_inference * steps as f64))
-            })
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            // Index-ordered scan: the first error seen is the
-            // lowest-indexed one, matching the serial loop's
-            // first-failure semantics.
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
 }
 
 /// Shard size for **batched** software evaluation: one coarse shard per
@@ -354,130 +362,6 @@ where
 /// the population size and worker count, never on timing.
 fn batch_shard_size(items: usize, workers: usize) -> usize {
     items.div_ceil(workers.max(1)).max(1)
-}
-
-/// Evaluates every genome through the population-major batched
-/// pipeline: each shard packs its genomes' [`NetPlan`]s into one
-/// [`PlanBatch`], drives all lanes through a [`e3_envs::BatchEnv`] in
-/// lockstep, and parks lanes whose episodes finish early.
-///
-/// Bit-identical to [`run_software_population`] (with `fast-math`
-/// off): each lane's FP op order matches its solo execution, parked
-/// lanes contribute nothing, plans are priced identically to their
-/// decoded networks, and rows come back in population order.
-fn run_software_population_batched<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    episode_seed: u64,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&NetPlan) -> f64 + Send + Sync + 'static,
-{
-    let pop: Arc<[Genome]> = genomes.into();
-    let shard_size = batch_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let base = range.start;
-        // Decode every resident up front through the worker's plan
-        // cache. The cache hands out borrows tied to `&mut self`, so
-        // plans are cloned out before batching. On the first decode
-        // failure the shard still returns one row per item (the
-        // executor asserts that): an `Err` at the failing index and
-        // inert rows elsewhere — the index-ordered reduce below then
-        // surfaces the lowest-indexed failure, exactly like the
-        // scalar path.
-        let mut plans = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            match scratch.cache().get_or_plan(&pop[i]) {
-                Ok(plan) => plans.push(plan.clone()),
-                Err(reason) => {
-                    return range
-                        .map(|j| -> SoftwareRow {
-                            if j == i {
-                                Err((i, reason.clone()))
-                            } else {
-                                Ok((0.0, 0, 0.0))
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-        let lanes = plans.len();
-        let per_inference: Vec<f64> = plans.iter().map(&cost).collect();
-        let plan_refs: Vec<&NetPlan> = plans.iter().collect();
-        let batch = PlanBatch::build(&plan_refs);
-        let mut env = env_id.make_batch(lanes);
-        let space = env.action_space();
-        let mut sb = StepBatch::new(lanes, env.observation_size());
-        env.reset_batch(&vec![episode_seed; lanes], &mut sb);
-        let mut values = vec![0.0; batch.value_buffer_slots()];
-        let k = batch.num_outputs();
-        let mut outputs = vec![0.0; lanes * k];
-        let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
-        let mut was_active = vec![false; lanes];
-        let mut fitness = vec![0.0f64; lanes];
-        let mut steps = vec![0u64; lanes];
-        // Lockstep episodes interleave, so their spans cannot nest
-        // lexically: one explicit timer per lane, finished when its
-        // episode parks (same convention as the INAX wave loop).
-        let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..lanes)
-            .map(|b| {
-                let mut timer = tracer.start("episode", "env");
-                timer.arg("genome_index", (base + b) as f64);
-                Some(timer)
-            })
-            .collect();
-        while !sb.all_parked() {
-            batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
-            for b in 0..lanes {
-                if sb.active[b] {
-                    actions[b] = decode_action(&outputs[b * k..(b + 1) * k], &space);
-                    steps[b] += 1;
-                }
-            }
-            was_active.copy_from_slice(&sb.active);
-            env.step_batch(&actions, &mut sb);
-            for b in 0..lanes {
-                // Accumulate only lanes that actually stepped, so the
-                // sum is the exact FP sequence of the solo episode.
-                if was_active[b] {
-                    fitness[b] += sb.rewards[b];
-                    if !sb.active[b] {
-                        if let Some(mut timer) = episode_timers[b].take() {
-                            timer.arg("steps", steps[b] as f64);
-                            timer.finish();
-                        }
-                    }
-                }
-            }
-        }
-        (0..lanes)
-            .map(|b| Ok((fitness[b], steps[b], per_inference[b] * steps[b] as f64)))
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            // Index-ordered scan: shards are contiguous ranges and
-            // each shard reports its lowest-indexed decode failure,
-            // so the first error seen here is the lowest-indexed one
-            // — the serial loop's first-failure semantics.
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
 }
 
 /// The per-shard closure state of a scenario evaluation: the sampled
@@ -516,10 +400,16 @@ fn check_spec(genomes: &[Genome], spec: &ScenarioSpec) {
     );
 }
 
-/// Scalar multi-scenario software evaluation: per genome, run one
-/// episode per sampled world and collapse the per-scenario fitnesses
-/// with the spec's aggregation. The reference the batched kernel is
-/// checked against.
+/// Scalar software evaluation on the given executor: per genome, decode
+/// (through the per-worker cache, which may hand out the JIT tier's
+/// native twin) then run one episode per sampled world, collapsing the
+/// per-scenario fitnesses with the spec's aggregation and pricing each
+/// inference with `cost`. The reference the batched kernel is checked
+/// against.
+///
+/// Bit-identical to a serial loop: shard tasks depend only on genome
+/// index, and rows are reduced lowest-index-first (see `e3-exec`'s
+/// determinism contract).
 fn run_software_population_scenarios<C>(
     exec: &mut AnyExecutor,
     genomes: &[Genome],
@@ -540,19 +430,30 @@ where
         shard_span.arg("start", range.start as f64);
         shard_span.arg("items", range.len() as f64);
         let k = shared.scenarios();
+        // One env per scenario, reused by every genome of the shard:
+        // `reset` restores the full episode state, so reuse cannot leak
+        // state between genomes.
+        let mut envs: Vec<Box<dyn Environment>> = shared
+            .params
+            .iter()
+            .map(|params| env_id.make_scenario(params))
+            .collect();
+        let mut fits = Vec::with_capacity(k);
         range
             .map(|i| -> SoftwareRow {
                 let mut individual_span = tracer.span("individual", "eval");
                 individual_span.arg("genome_index", i as f64);
+                // Tier selection: the interpreted network, or (for hot
+                // entries under an enabled JIT policy) its natively
+                // compiled twin — bit-identical either way.
                 let mut tier = scratch
                     .cache()
                     .get_or_tiered(&pop[i])
                     .map_err(|reason| (i, reason))?;
                 let per_inference = cost(tier.net());
-                let mut fits = Vec::with_capacity(k);
+                fits.clear();
                 let mut genome_steps = 0u64;
-                for s in 0..k {
-                    let mut env = env_id.make_scenario(&shared.params[s]);
+                for (s, env) in envs.iter_mut().enumerate() {
                     let mut episode_span = tracer.start("episode", "env");
                     episode_span.arg("scenario", s as f64);
                     let (fitness, steps) = run_software_episode(
@@ -573,28 +474,20 @@ where
             })
             .collect()
     })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
+    Ok((collect_rows(run.results)?, run.stats))
 }
 
-/// Batched multi-scenario software evaluation: each shard packs
-/// `genomes × K` lanes (genome-major, each genome's plan replicated K
-/// times) into one [`PlanBatch`] over a heterogeneous-scenario
-/// [`e3_envs::BatchEnv`], then aggregates per genome. Bit-identical to
-/// [`run_software_population_scenarios`] with `fast-math` off: every
-/// lane's FP order matches its scalar twin, and per-genome reduction
-/// (aggregation, step sums, pricing) uses the same expressions.
+/// Batched software evaluation: each shard packs `genomes × K` lanes
+/// (genome-major, each genome's [`NetPlan`] replicated K times) into
+/// one [`PlanBatch`], drives all lanes through a heterogeneous-scenario
+/// [`e3_envs::BatchEnv`] in lockstep, parks lanes whose episodes finish
+/// early, then aggregates per genome.
+///
+/// Bit-identical to [`run_software_population_scenarios`] with
+/// `fast-math` off: every lane's FP order matches its scalar twin,
+/// parked lanes contribute nothing, plans are priced identically to
+/// their decoded networks, and per-genome reduction (aggregation, step
+/// sums, pricing) uses the same expressions in population order.
 fn run_software_population_scenarios_batched<C>(
     exec: &mut AnyExecutor,
     genomes: &[Genome],
@@ -616,6 +509,13 @@ where
         shard_span.arg("items", range.len() as f64);
         let base = range.start;
         let k = shared.scenarios();
+        // Decode every resident up front through the worker's plan
+        // cache. The cache hands out borrows tied to `&mut self`, so
+        // plans are cloned out before batching. On the first decode
+        // failure the shard still returns one row per item (the
+        // executor asserts that): an `Err` at the failing index and
+        // inert rows elsewhere — the index-ordered reduce then surfaces
+        // the lowest-indexed failure, exactly like the scalar path.
         let mut plans = Vec::with_capacity(range.len());
         for i in range.clone() {
             match scratch.cache().get_or_plan(&pop[i]) {
@@ -662,6 +562,9 @@ where
         let mut was_active = vec![false; lanes];
         let mut fitness = vec![0.0f64; lanes];
         let mut steps = vec![0u64; lanes];
+        // Lockstep episodes interleave, so their spans cannot nest
+        // lexically: one explicit timer per lane, finished when its
+        // episode parks (same convention as the INAX wave loop).
         let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..lanes)
             .map(|lane| {
                 let mut timer = tracer.start("episode", "env");
@@ -684,6 +587,8 @@ where
             was_active.copy_from_slice(&sb.active);
             env.step_batch(&actions, &mut sb);
             for b in 0..lanes {
+                // Accumulate only lanes that actually stepped, so the
+                // sum is the exact FP sequence of the solo episode.
                 if was_active[b] {
                     fitness[b] += sb.rewards[b];
                     if !sb.active[b] {
@@ -707,19 +612,7 @@ where
             })
             .collect()
     })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
+    Ok((collect_rows(run.results)?, run.stats))
 }
 
 /// Reduces software rows into an [`EvalOutcome`], accumulating modeled
@@ -796,60 +689,6 @@ impl CpuBackend {
     pub fn threads(&self) -> usize {
         self.exec.workers()
     }
-
-    /// Evaluates every genome over the spec's K sampled scenarios with
-    /// the scalar per-genome loop, aggregating per genome. The
-    /// reference for the batched kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_scenarios(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |net| model.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
-    }
-
-    /// Evaluates every genome over the spec's K sampled scenarios
-    /// through the population-major batched pipeline (`genomes × K`
-    /// lanes per shard). Bit-identical to
-    /// [`CpuBackend::try_evaluate_population_scenarios`] with
-    /// `fast-math` off.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| model.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
-    }
 }
 
 impl Clone for CpuBackend {
@@ -875,18 +714,18 @@ impl EvalBackend for CpuBackend {
         BackendKind::Cpu
     }
 
-    fn try_evaluate_population(
+    fn try_evaluate_population_scenarios(
         &mut self,
         genomes: &[Genome],
         env_id: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let model = self.model;
-        let (rows, stats) = run_software_population(
+        let (rows, stats) = run_software_population_scenarios(
             &mut self.exec,
             genomes,
             env_id,
-            episode_seed,
+            spec,
             self.tracer.clone(),
             move |net| model.inference_seconds(net),
         )?;
@@ -894,18 +733,18 @@ impl EvalBackend for CpuBackend {
         Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
     }
 
-    fn try_evaluate_population_batched(
+    fn try_evaluate_population_scenarios_batched(
         &mut self,
         genomes: &[Genome],
         env_id: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let model = self.model;
-        let (rows, stats) = run_software_population_batched(
+        let (rows, stats) = run_software_population_scenarios_batched(
             &mut self.exec,
             genomes,
             env_id,
-            episode_seed,
+            spec,
             self.tracer.clone(),
             move |plan| model.inference_seconds_plan(plan),
         )?;
@@ -969,58 +808,6 @@ impl GpuBackend {
             tracer: Tracer::disabled(),
         }
     }
-
-    /// Scalar multi-scenario evaluation (see
-    /// [`CpuBackend::try_evaluate_population_scenarios`]), priced with
-    /// the GPU cost model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_scenarios(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |net| gpu.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-
-    /// Batched multi-scenario evaluation (see
-    /// [`CpuBackend::try_evaluate_population_scenarios_batched`]),
-    /// priced with the GPU cost model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| gpu.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
 }
 
 impl Clone for GpuBackend {
@@ -1046,18 +833,18 @@ impl EvalBackend for GpuBackend {
         BackendKind::Gpu
     }
 
-    fn try_evaluate_population(
+    fn try_evaluate_population_scenarios(
         &mut self,
         genomes: &[Genome],
         env_id: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let gpu = self.gpu;
-        let (rows, stats) = run_software_population(
+        let (rows, stats) = run_software_population_scenarios(
             &mut self.exec,
             genomes,
             env_id,
-            episode_seed,
+            spec,
             self.tracer.clone(),
             move |net| gpu.inference_seconds(net),
         )?;
@@ -1065,18 +852,18 @@ impl EvalBackend for GpuBackend {
         Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
     }
 
-    fn try_evaluate_population_batched(
+    fn try_evaluate_population_scenarios_batched(
         &mut self,
         genomes: &[Genome],
         env_id: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let gpu = self.gpu;
-        let (rows, stats) = run_software_population_batched(
+        let (rows, stats) = run_software_population_scenarios_batched(
             &mut self.exec,
             genomes,
             env_id,
-            episode_seed,
+            spec,
             self.tracer.clone(),
             move |plan| gpu.inference_seconds_plan(plan),
         )?;
@@ -1164,19 +951,22 @@ impl InaxBackend {
     pub fn config(&self) -> &InaxConfig {
         &self.config
     }
+}
 
-    /// Evaluates every genome over the spec's K sampled scenarios on
-    /// the accelerator: each wave loads its residents once, then runs
-    /// the lock-step episode loop once per scenario against fresh
-    /// scenario-parameterized environments — weights stream onto the
-    /// PUs a single time however many worlds the wave faces.
+impl EvalBackend for InaxBackend {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Inax
+    }
+
+    /// Runs the INAX wave loop: each wave loads its residents once,
+    /// then runs the lock-step episode loop once per scenario against
+    /// fresh scenario-parameterized environments — weights stream onto
+    /// the PUs a single time however many worlds the wave faces.
     /// Per-resident fitnesses aggregate exactly like the software
-    /// backends, so all backends agree on scenario fitness too.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
+    /// backends, so all backends agree on fitness. INAX already batches
+    /// onto the accelerator's PUs, so the batched entry point takes
+    /// this loop too (the trait default).
+    fn try_evaluate_population_scenarios(
         &mut self,
         genomes: &[Genome],
         env_id: EnvId,
@@ -1190,10 +980,17 @@ impl InaxBackend {
         let config = self.config.clone();
         let tracer = self.tracer.clone();
 
+        // One work item per wave: each runs its batch on a private
+        // accelerator instance (a "virtual PU cluster"). Residents are
+        // lowered inside the wave through the worker's plan cache —
+        // genome→NetPlan compiles once per fingerprint and the
+        // hardware view is a direct copy of the plan — so unchanged
+        // elites skip CreateNet here exactly like on the software
+        // backends.
         let run = self.exec.run_shards(num_waves, 1, move |scratch, range| {
             let k = shared.scenarios();
             range
-                .map(|wave| -> Result<WaveResult, (usize, DecodeError)> {
+                .map(|wave| -> ShardRow<WaveResult> {
                     let base = wave * num_pu;
                     let end = (base + num_pu).min(pop.len());
                     let mut batch = Vec::with_capacity(end - base);
@@ -1218,6 +1015,7 @@ impl InaxBackend {
                     // so a range loop reads better than zipping them.
                     #[allow(clippy::needless_range_loop)]
                     for s in 0..k {
+                        // One environment instance per resident.
                         let mut envs: Vec<Box<dyn Environment>> = (0..residents)
                             .map(|_| env_id.make_scenario(&shared.params[s]))
                             .collect();
@@ -1230,6 +1028,10 @@ impl InaxBackend {
                             .enumerate()
                             .map(|(i, e)| Some(e.reset(shared.episode_seeds[(base + i) * k + s])))
                             .collect();
+                        // Episodes in a wave interleave in lock-step, so
+                        // their spans cannot nest lexically: one explicit
+                        // timer per resident, finished when its episode
+                        // terminates. Inert (no clock) when disabled.
                         let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0
                             ..residents)
                             .map(|i| {
@@ -1278,151 +1080,17 @@ impl InaxBackend {
                 .collect()
         })?;
 
-        let mut fitnesses = Vec::with_capacity(genomes.len());
-        let mut steps_per_genome = Vec::with_capacity(genomes.len());
-        let mut total_steps = 0u64;
-        let mut report = EpisodeRunReport::default();
-        let mut util = UtilizationBreakdown::default();
-        for wave in run.results {
-            let wave = wave.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
-                genome_index,
-                reason,
-            })?;
-            fitnesses.extend(wave.fitnesses);
-            steps_per_genome.extend(wave.steps);
-            total_steps += wave.total_steps;
-            report.merge(&wave.report);
-            util.merge(&wave.util);
-        }
-        self.last_exec = Some(run.stats);
-        Ok(EvalOutcome {
-            fitnesses,
-            steps_per_genome,
-            eval_seconds: self.config.cycles_to_seconds(report.total_cycles),
-            env_seconds: total_steps as f64 * self.sw.sec_per_env_step,
-            total_steps,
-            hw_report: Some(report),
-            hw_utilization: Some(util),
-        })
-    }
-}
-
-impl EvalBackend for InaxBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Inax
-    }
-
-    fn try_evaluate_population(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        let num_pu = self.config.num_pu;
-        let num_waves = genomes.len().div_ceil(num_pu.max(1));
-        let pop: Arc<[Genome]> = genomes.into();
-        let config = self.config.clone();
-        let tracer = self.tracer.clone();
-
-        // One work item per wave: each runs its batch on a private
-        // accelerator instance (a "virtual PU cluster"). Residents are
-        // lowered inside the wave through the worker's plan cache —
-        // genome→NetPlan compiles once per fingerprint and the
-        // hardware view is a direct copy of the plan — so unchanged
-        // elites skip CreateNet here exactly like on the software
-        // backends.
-        let run = self.exec.run_shards(num_waves, 1, move |scratch, range| {
-            range
-                .map(|wave| -> Result<WaveResult, (usize, DecodeError)> {
-                    let base = wave * num_pu;
-                    let end = (base + num_pu).min(pop.len());
-                    let mut batch = Vec::with_capacity(end - base);
-                    for i in base..end {
-                        let plan = scratch
-                            .cache()
-                            .get_or_plan(&pop[i])
-                            .map_err(|reason| (i, reason))?;
-                        batch.push(IrregularNet::from_plan(plan));
-                    }
-                    let residents = batch.len();
-                    let mut wave_span = tracer.span("shard", "exec");
-                    wave_span.arg("wave", wave as f64);
-                    wave_span.arg("items", residents as f64);
-                    let mut accelerator = InaxAccelerator::new(config.clone());
-                    accelerator.load_batch(batch);
-                    // One environment instance per resident individual.
-                    let mut envs: Vec<Box<dyn Environment>> =
-                        (0..residents).map(|_| env_id.make()).collect();
-                    let space = envs
-                        .first()
-                        .expect("waves are non-empty by construction")
-                        .action_space();
-                    let mut fitnesses = vec![0.0f64; residents];
-                    let mut steps_per_genome = vec![0u64; residents];
-                    let mut total_steps = 0u64;
-                    let mut observations: Vec<Option<Vec<f64>>> = envs
-                        .iter_mut()
-                        .map(|e| Some(e.reset(episode_seed)))
-                        .collect();
-                    // Episodes in a wave interleave in lock-step, so
-                    // their spans cannot nest lexically: one explicit
-                    // timer per resident, finished when its episode
-                    // terminates. Inert (no clock) when disabled.
-                    let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..residents)
-                        .map(|i| {
-                            let mut timer = tracer.start("episode", "env");
-                            timer.arg("genome_index", (base + i) as f64);
-                            Some(timer)
-                        })
-                        .collect();
-                    while observations.iter().any(Option::is_some) {
-                        let outputs = accelerator.step(&observations);
-                        for (i, output) in outputs.into_iter().enumerate() {
-                            let Some(out) = output else { continue };
-                            let action = decode_action(&out, &space);
-                            let step = envs[i].step(&action);
-                            fitnesses[i] += step.reward;
-                            steps_per_genome[i] += 1;
-                            total_steps += 1;
-                            observations[i] = if step.terminated || step.truncated {
-                                if let Some(mut timer) = episode_timers[i].take() {
-                                    timer.arg("steps", steps_per_genome[i] as f64);
-                                    timer.finish();
-                                }
-                                None
-                            } else {
-                                Some(step.observation)
-                            };
-                        }
-                    }
-                    accelerator.unload_batch();
-                    Ok(WaveResult {
-                        fitnesses,
-                        steps: steps_per_genome,
-                        report: accelerator.report(),
-                        util: accelerator.utilization().clone(),
-                        total_steps,
-                    })
-                })
-                .collect()
-        })?;
-
         // Wave-ordered reduction: counters are additive, so this is
         // the accounting a single accelerator would have produced.
         // Waves are contiguous index ranges and each wave lowers its
-        // residents in index order, so scanning results in order
-        // reports the lowest-indexed non-feed-forward genome — the
-        // same error the old serial pre-decode produced.
+        // residents in index order, so the lowest-indexed
+        // non-feed-forward genome is the one reported.
         let mut fitnesses = Vec::with_capacity(genomes.len());
         let mut steps_per_genome = Vec::with_capacity(genomes.len());
         let mut total_steps = 0u64;
         let mut report = EpisodeRunReport::default();
         let mut util = UtilizationBreakdown::default();
-        for wave in run.results {
-            let wave = wave.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
-                genome_index,
-                reason,
-            })?;
+        for wave in collect_rows(run.results)? {
             fitnesses.extend(wave.fitnesses);
             steps_per_genome.extend(wave.steps);
             total_steps += wave.total_steps;
@@ -1468,38 +1136,16 @@ pub enum AnyBackend {
     Inax(InaxBackend),
 }
 
-impl AnyBackend {
-    /// Evaluates every genome over the spec's K sampled scenarios,
-    /// dispatching to the kind-appropriate kernel: the software
-    /// backends run the batched SoA scenario kernel, INAX runs its
-    /// scenario wave loop. All three agree bit-for-bit on fitness.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
+impl EvalBackend for AnyBackend {
+    fn kind(&self) -> BackendKind {
         match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Inax(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
+            AnyBackend::Cpu(_) => BackendKind::Cpu,
+            AnyBackend::Gpu(_) => BackendKind::Gpu,
+            AnyBackend::Inax(_) => BackendKind::Inax,
         }
     }
 
-    /// Like [`AnyBackend::try_evaluate_population_scenarios`], but the
-    /// software backends take the scalar per-genome loop — the route
-    /// the platform picks when the JIT tier is enabled, since only the
-    /// scalar loop consults the tiered decode cache. Bit-identical to
-    /// the batched dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_scalar(
+    fn try_evaluate_population_scenarios(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
@@ -1511,42 +1157,17 @@ impl AnyBackend {
             AnyBackend::Inax(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
         }
     }
-}
 
-impl EvalBackend for AnyBackend {
-    fn kind(&self) -> BackendKind {
-        match self {
-            AnyBackend::Cpu(_) => BackendKind::Cpu,
-            AnyBackend::Gpu(_) => BackendKind::Gpu,
-            AnyBackend::Inax(_) => BackendKind::Inax,
-        }
-    }
-
-    fn try_evaluate_population(
+    fn try_evaluate_population_scenarios_batched(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population(genomes, env, episode_seed),
-            AnyBackend::Gpu(b) => b.try_evaluate_population(genomes, env, episode_seed),
-            AnyBackend::Inax(b) => b.try_evaluate_population(genomes, env, episode_seed),
-        }
-    }
-
-    fn try_evaluate_population_batched(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
-            // INAX already batches onto the accelerator's PUs; the
-            // trait default routes it through its wave loop.
-            AnyBackend::Inax(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
+            AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
+            AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
+            AnyBackend::Inax(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
         }
     }
 
@@ -1705,21 +1326,47 @@ mod tests {
             .expect("population is feed-forward")
     }
 
+    /// A non-vanilla spec: K worlds from the moderate distribution
+    /// with genome-major episode seeds, exactly as the platform
+    /// resolves one generation.
+    fn spec(k: usize, population: usize) -> ScenarioSpec {
+        use crate::scenario::ScenarioConfig;
+        use e3_envs::ScenarioDistribution;
+        let config = ScenarioConfig::default()
+            .train(ScenarioDistribution::moderate())
+            .scenarios_per_eval(k);
+        ScenarioSpec::for_generation(&config, 42, 3, population, 0)
+    }
+
+    /// The two spec shapes every kernel-parity test runs: the
+    /// fixed-env K = 1 shared-seed spec and K = 3 sampled worlds with
+    /// per-genome seeds.
+    fn specs(population: usize) -> [ScenarioSpec; 2] {
+        [ScenarioSpec::fixed_env(7, population), spec(3, population)]
+    }
+
     #[test]
     fn all_backends_agree_on_fitness() {
-        let pop = genomes(EnvId::CartPole, 12);
-        let mut cpu = CpuBackend::default();
-        let mut gpu = GpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(5).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let a = eval(&mut cpu, &pop, EnvId::CartPole, 7);
-        let b = eval(&mut gpu, &pop, EnvId::CartPole, 7);
-        let c = eval(&mut inax, &pop, EnvId::CartPole, 7);
-        assert_eq!(a.fitnesses, b.fitnesses);
-        assert_eq!(a.fitnesses, c.fitnesses);
-        assert_eq!(a.steps_per_genome, c.steps_per_genome);
+        for (n, num_pu) in [(12, 5), (9, 4)] {
+            let pop = genomes(EnvId::CartPole, n);
+            for sp in specs(n) {
+                let run = |backend: &mut dyn EvalBackend| {
+                    backend
+                        .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &sp)
+                        .expect("population is feed-forward")
+                };
+                let a = run(&mut CpuBackend::default());
+                let b = run(&mut GpuBackend::default());
+                let c = run(&mut InaxBackend::new(
+                    InaxConfig::builder().num_pu(num_pu).num_pe(2).build(),
+                    SwCostModel::default(),
+                ));
+                assert_eq!(a.fitnesses, b.fitnesses);
+                assert_eq!(a.fitnesses, c.fitnesses);
+                assert_eq!(a.steps_per_genome, c.steps_per_genome);
+                assert_eq!(a.total_steps, c.total_steps);
+            }
+        }
     }
 
     #[test]
@@ -1797,11 +1444,11 @@ mod tests {
             BackendKind::Cpu
         }
 
-        fn try_evaluate_population(
+        fn try_evaluate_population_scenarios(
             &mut self,
             genomes: &[Genome],
             _env: EnvId,
-            _episode_seed: u64,
+            _spec: &ScenarioSpec,
         ) -> Result<EvalOutcome, EvalError> {
             Ok(reduce_software_rows(
                 vec![(0.0, 0, 0.0); genomes.len()],
@@ -1960,22 +1607,26 @@ mod tests {
     #[test]
     fn batched_eval_is_bit_identical_to_scalar() {
         // Odd population sizes exercise shard remainders; 1/4/8
-        // threads exercise single-batch and multi-batch sharding.
+        // threads exercise single-batch and multi-batch sharding (and,
+        // for K > 1, multi-shard lane packing).
         for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
-            let pop = genomes(env, 13);
-            for threads in [1usize, 4, 8] {
-                let mut scalar = CpuBackend::default();
-                let mut batched = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let a = scalar
-                    .try_evaluate_population(&pop, env, 7)
-                    .expect("scalar eval succeeds");
-                let b = batched
-                    .try_evaluate_population_batched(&pop, env, 7)
-                    .expect("batched eval succeeds");
-                assert_eq!(
-                    a, b,
-                    "{env:?} batched@{threads} threads diverged from scalar"
-                );
+            for n in [13, 7] {
+                let pop = genomes(env, n);
+                for sp in specs(n) {
+                    let k = sp.scenarios();
+                    let a = CpuBackend::default()
+                        .try_evaluate_population_scenarios(&pop, env, &sp)
+                        .expect("scalar eval succeeds");
+                    for threads in [1usize, 4, 8] {
+                        let b = CpuBackend::with_threads(SwCostModel::default(), threads)
+                            .try_evaluate_population_scenarios_batched(&pop, env, &sp)
+                            .expect("batched eval succeeds");
+                        assert_eq!(
+                            a, b,
+                            "{env:?} n={n} K={k} batched@{threads} threads diverged from scalar"
+                        );
+                    }
+                }
             }
         }
     }
@@ -2017,16 +1668,18 @@ mod tests {
         let mut pop = genomes(EnvId::CartPole, 5);
         pop[1] = make_cyclic(&pop[1]);
         pop[3] = make_cyclic(&pop[3]);
-        for threads in [1usize, 4] {
-            let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
-            let err = backend
-                .try_evaluate_population_batched(&pop, EnvId::CartPole, 7)
-                .expect_err("cyclic genome must be rejected");
-            match err {
-                EvalError::NotFeedForward { genome_index, .. } => {
-                    assert_eq!(genome_index, 1, "lowest-indexed failure wins")
+        for sp in specs(pop.len()) {
+            for threads in [1usize, 2, 4] {
+                let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
+                let err = backend
+                    .try_evaluate_population_scenarios_batched(&pop, EnvId::CartPole, &sp)
+                    .expect_err("cyclic genome must be rejected");
+                match err {
+                    EvalError::NotFeedForward { genome_index, .. } => {
+                        assert_eq!(genome_index, 1, "lowest-indexed failure wins")
+                    }
+                    other => panic!("expected NotFeedForward, got {other:?}"),
                 }
-                other => panic!("expected NotFeedForward, got {other:?}"),
             }
         }
     }
@@ -2087,117 +1740,6 @@ mod tests {
                 }
                 other => panic!("expected NotFeedForward, got {other:?}"),
             }
-        }
-    }
-
-    /// A non-vanilla spec: K worlds from the moderate distribution
-    /// with genome-major episode seeds, exactly as the platform
-    /// resolves one generation.
-    fn spec(k: usize, population: usize) -> ScenarioSpec {
-        use crate::scenario::ScenarioConfig;
-        use e3_envs::ScenarioDistribution;
-        let config = ScenarioConfig::default()
-            .train(ScenarioDistribution::moderate())
-            .scenarios_per_eval(k);
-        ScenarioSpec::for_generation(&config, 42, 3, population)
-    }
-
-    #[test]
-    fn all_backends_agree_on_scenario_fitness() {
-        let pop = genomes(EnvId::CartPole, 9);
-        let spec = spec(3, pop.len());
-        let mut cpu = CpuBackend::default();
-        let mut gpu = GpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(4).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let a = cpu
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("cpu scenario eval succeeds");
-        let b = gpu
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("gpu scenario eval succeeds");
-        let c = inax
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("inax scenario eval succeeds");
-        assert_eq!(a.fitnesses, b.fitnesses);
-        assert_eq!(a.fitnesses, c.fitnesses);
-        assert_eq!(a.steps_per_genome, c.steps_per_genome);
-        assert_eq!(a.total_steps, c.total_steps);
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn batched_scenario_eval_is_bit_identical_to_scalar() {
-        // Odd population exercises shard remainders; 1/4/8 threads
-        // exercise single- and multi-shard lane packing.
-        for env in [EnvId::CartPole, EnvId::Pendulum] {
-            let pop = genomes(env, 7);
-            let sp = spec(3, pop.len());
-            let mut scalar = CpuBackend::default();
-            let a = scalar
-                .try_evaluate_population_scenarios(&pop, env, &sp)
-                .expect("scalar scenario eval succeeds");
-            for threads in [1usize, 4, 8] {
-                let mut batched = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let b = batched
-                    .try_evaluate_population_scenarios_batched(&pop, env, &sp)
-                    .expect("batched scenario eval succeeds");
-                assert_eq!(
-                    a.fitnesses, b.fitnesses,
-                    "{env:?} scenario batched@{threads} threads diverged from scalar"
-                );
-                assert_eq!(a.steps_per_genome, b.steps_per_genome);
-                assert_eq!(a.total_steps, b.total_steps);
-            }
-        }
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn single_default_scenario_with_shared_seed_matches_legacy_kernel() {
-        // Hand-build a K=1 spec that replays the legacy schedule
-        // exactly (default params, one shared episode seed): the
-        // scenario kernels must reproduce the legacy kernel
-        // bit-for-bit. The platform's real K=1 spec uses per-genome
-        // scenario_seed streams instead, which is why the vanilla
-        // gate bypasses the scenario path rather than running K=1
-        // through it.
-        use e3_envs::ScenarioParams;
-        let pop = genomes(EnvId::CartPole, 5);
-        let sp = ScenarioSpec {
-            params: vec![ScenarioParams::default()],
-            episode_seeds: vec![7; pop.len()],
-            aggregation: FitnessAggregation::Mean,
-        };
-        let mut scenario = CpuBackend::default();
-        let mut legacy = CpuBackend::default();
-        let a = scenario
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &sp)
-            .expect("scenario eval succeeds");
-        let b = legacy
-            .try_evaluate_population(&pop, EnvId::CartPole, 7)
-            .expect("legacy eval succeeds");
-        assert_eq!(a.fitnesses, b.fitnesses);
-        assert_eq!(a.steps_per_genome, b.steps_per_genome);
-    }
-
-    #[test]
-    fn scenario_eval_rejects_recurrent_genomes_with_lowest_index() {
-        let mut pop = genomes(EnvId::CartPole, 5);
-        pop[1] = make_cyclic(&pop[1]);
-        pop[3] = make_cyclic(&pop[3]);
-        let sp = spec(2, pop.len());
-        let mut backend = CpuBackend::with_threads(SwCostModel::default(), 2);
-        let err = backend
-            .try_evaluate_population_scenarios_batched(&pop, EnvId::CartPole, &sp)
-            .expect_err("cyclic genome must be rejected");
-        match err {
-            EvalError::NotFeedForward { genome_index, .. } => {
-                assert_eq!(genome_index, 1, "lowest-indexed failure wins")
-            }
-            other => panic!("expected NotFeedForward, got {other:?}"),
         }
     }
 }

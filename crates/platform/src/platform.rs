@@ -203,8 +203,8 @@ pub struct E3Config {
     /// genome faces per generation, which distribution they are drawn
     /// from, how per-scenario fitnesses aggregate, and the optional
     /// held-out generalization pass. The default is *vanilla* —
-    /// `K = 1` with default [`e3_envs::ScenarioParams`] — which takes
-    /// the legacy evaluation path and is bit-identical to
+    /// `K = 1` with default [`e3_envs::ScenarioParams`] — which keeps
+    /// the legacy shared episode-seed schedule and is bit-identical to
     /// configurations that predate this field (old JSON deserializes
     /// via `serde(default)`).
     #[serde(default)]
@@ -758,53 +758,34 @@ impl E3Platform {
         // identical trajectories) while exposing evolution to varied
         // start states — important for flat-reward tasks like
         // MountainCar where a single fixed condition stalls progress.
+        // The spec picks the schedule: a vanilla scenario config gets
+        // the legacy shared episode seed (K = 1, default params), any
+        // other config its sampled worlds and per-genome seeds. The
+        // legacy counter advances either way so toggling the holdout
+        // pass (or a later config edit) never shifts the vanilla
+        // schedule.
+        let spec = ScenarioSpec::for_generation(
+            &self.config.scenario,
+            self.seed,
+            self.generation as u64,
+            genomes.len(),
+            self.episode_seed,
+        );
         // The batched entry point is bit-identical to the scalar one
         // (software backends run the population-major kernel, INAX its
-        // wave loop), so the platform always takes it. A vanilla
-        // scenario config (K = 1, default params, mean aggregation)
-        // keeps the legacy path verbatim so pre-scenario runs stay
-        // bit-identical; anything else builds a per-generation
-        // ScenarioSpec and routes through the scenario kernels. The
-        // legacy episode-seed counter advances either way so toggling
-        // the holdout pass (or a later config edit) never shifts the
-        // vanilla schedule.
-        // With the JIT tier enabled the vanilla route takes the scalar
-        // per-genome entry point instead: the batched SoA kernel runs
-        // plans lockstep and cannot host per-genome native code, while
-        // the scalar loop consults the tiered decode cache. The two
-        // entry points are bit-identical (see `repro batch`), so the
-        // switch shifts only speed and telemetry.
-        let outcome = if self.config.scenario.is_vanilla() {
-            if self.config.jit.enabled {
-                self.backend.try_evaluate_population(
-                    &genomes,
-                    self.config.env,
-                    self.episode_seed,
-                )?
-            } else {
-                self.backend.try_evaluate_population_batched(
-                    &genomes,
-                    self.config.env,
-                    self.episode_seed,
-                )?
-            }
+        // wave loop either way), so the platform takes it — except
+        // with the JIT tier enabled: the batched SoA kernel runs plans
+        // lockstep and cannot host per-genome native code, while the
+        // scalar loop consults the tiered decode cache.
+        let outcome = if self.config.jit.enabled {
+            self.backend
+                .try_evaluate_population_scenarios(&genomes, self.config.env, &spec)?
         } else {
-            let spec = ScenarioSpec::for_generation(
-                &self.config.scenario,
-                self.seed,
-                self.generation as u64,
-                genomes.len(),
-            );
-            if self.config.jit.enabled {
-                self.backend.try_evaluate_population_scenarios_scalar(
-                    &genomes,
-                    self.config.env,
-                    &spec,
-                )?
-            } else {
-                self.backend
-                    .try_evaluate_population_scenarios(&genomes, self.config.env, &spec)?
-            }
+            self.backend.try_evaluate_population_scenarios_batched(
+                &genomes,
+                self.config.env,
+                &spec,
+            )?
         };
         self.episode_seed = self.episode_seed.wrapping_add(1);
         self.profile.evaluate += outcome.eval_seconds;
@@ -1410,7 +1391,7 @@ mod tests {
     fn default_scenario_config_reproduces_legacy_run_bitwise() {
         // The scenario field defaults to vanilla; a config that spells
         // the default out explicitly must reproduce the implicit one
-        // bit-for-bit (both take the legacy evaluation path).
+        // bit-for-bit (both keep the legacy episode-seed schedule).
         let implicit = E3Platform::new(small(EnvId::CartPole), BackendKind::Cpu, 5)
             .run()
             .unwrap();

@@ -32,15 +32,18 @@
 //!
 //! ## The vanilla gate
 //!
-//! [`ScenarioConfig::is_vanilla`] is the bit-identity switch: with one
-//! scenario, default train parameters, and mean aggregation, the
-//! platform takes the legacy fixed-env evaluation path verbatim —
-//! same episode-seed schedule, same FP operation order, bit-identical
-//! populations and telemetry to the pre-scenario platform. The
-//! held-out pass is deliberately **excluded** from the gate: it is
-//! read-only (it never touches the population, the episode-seed
-//! schedule, or the modeled-time profile), so enabling holdout alone
-//! keeps training on the legacy path.
+//! [`ScenarioConfig::is_vanilla`] picks the seed schedule, nothing
+//! else: every evaluation runs through the same scenario kernels, and
+//! [`ScenarioSpec::for_generation`] gives a vanilla config (one
+//! scenario, default train parameters, mean aggregation) the K = 1
+//! [`ScenarioSpec::fixed_env`] spec — default parameters and the
+//! platform's legacy per-generation episode seed shared by every
+//! genome. Mean over one scenario returns that scenario's fitness
+//! exactly, so vanilla runs stay bit-identical to the pre-scenario
+//! platform. The held-out pass is deliberately **excluded** from the
+//! gate: it is read-only (it never touches the population, the
+//! episode-seed schedule, or the modeled-time profile), so enabling
+//! holdout alone keeps the legacy schedule.
 
 use e3_envs::{ScenarioDistribution, ScenarioParams};
 use e3_exec::rng::scenario_seed;
@@ -231,11 +234,11 @@ impl Default for ScenarioConfig {
 
 impl ScenarioConfig {
     /// The legacy fixed-env contract: one scenario, default train
-    /// parameters, mean aggregation — the platform takes the
-    /// pre-scenario evaluation path verbatim and results are
-    /// bit-identical to it. Holdout is deliberately not consulted: the
-    /// held-out pass is read-only, so it never moves training off the
-    /// legacy path.
+    /// parameters, mean aggregation — [`ScenarioSpec::for_generation`]
+    /// then keeps the pre-scenario shared episode-seed schedule, and
+    /// results are bit-identical to the pre-scenario platform. Holdout
+    /// is deliberately not consulted: the held-out pass is read-only,
+    /// so it never moves training off the legacy schedule.
     pub fn is_vanilla(&self) -> bool {
         self.scenarios_per_eval <= 1
             && self.train.is_default()
@@ -299,15 +302,23 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Resolves `config` for one generation of a `population`-sized
-    /// run: samples the K training worlds and derives every
-    /// `(genome, scenario)` episode seed. Identical inputs produce an
-    /// identical spec regardless of thread count or backend.
+    /// run. A vanilla config ([`ScenarioConfig::is_vanilla`]) gets the
+    /// legacy schedule, [`ScenarioSpec::fixed_env`] with
+    /// `episode_seed`; any other config samples its K training worlds
+    /// and derives every `(genome, scenario)` episode seed from
+    /// `scenario_seed`, ignoring `episode_seed`. Identical inputs
+    /// produce an identical spec regardless of thread count or
+    /// backend.
     pub fn for_generation(
         config: &ScenarioConfig,
         run_seed: u64,
         generation: u64,
         population: usize,
+        episode_seed: u64,
     ) -> Self {
+        if config.is_vanilla() {
+            return ScenarioSpec::fixed_env(episode_seed, population);
+        }
         let k = config.scenarios_per_eval.max(1);
         let params = config.train_params(run_seed, generation);
         let mut episode_seeds = Vec::with_capacity(population * k);
@@ -320,6 +331,17 @@ impl ScenarioSpec {
             params,
             episode_seeds,
             aggregation: config.aggregation,
+        }
+    }
+
+    /// The fixed-env plan as the K = 1 case: one default-physics world
+    /// and the same `episode_seed` for every genome, mean-aggregated —
+    /// which returns each genome's single episode fitness exactly.
+    pub fn fixed_env(episode_seed: u64, population: usize) -> Self {
+        ScenarioSpec {
+            params: vec![ScenarioParams::default()],
+            episode_seeds: vec![episode_seed; population],
+            aggregation: FitnessAggregation::Mean,
         }
     }
 
@@ -365,6 +387,11 @@ mod tests {
         // pre-scenario configs load unchanged.
         let from_empty: ScenarioConfig = serde_json::from_str("{}").unwrap();
         assert_eq!(from_empty, config);
+        // The vanilla gate resolves to the shared-seed K = 1 spec.
+        assert_eq!(
+            ScenarioSpec::for_generation(&config, 42, 7, 5, 9),
+            ScenarioSpec::fixed_env(9, 5)
+        );
     }
 
     #[test]
@@ -410,8 +437,8 @@ mod tests {
         let config = ScenarioConfig::default()
             .train(ScenarioDistribution::moderate())
             .scenarios_per_eval(3);
-        let a = ScenarioSpec::for_generation(&config, 42, 7, 5);
-        let b = ScenarioSpec::for_generation(&config, 42, 7, 5);
+        let a = ScenarioSpec::for_generation(&config, 42, 7, 5, 0);
+        let b = ScenarioSpec::for_generation(&config, 42, 7, 5, 0);
         assert_eq!(a, b);
         assert_eq!(a.params.len(), 3);
         assert_eq!(a.episode_seeds.len(), 15);
@@ -421,7 +448,7 @@ mod tests {
         seeds.dedup();
         assert_eq!(seeds.len(), 15, "episode seeds collide");
         // Different generation ⇒ different worlds and seeds.
-        let c = ScenarioSpec::for_generation(&config, 42, 8, 5);
+        let c = ScenarioSpec::for_generation(&config, 42, 8, 5, 0);
         assert_ne!(a.params, c.params);
         assert_ne!(a.episode_seeds, c.episode_seeds);
     }
@@ -431,7 +458,7 @@ mod tests {
         let config = ScenarioConfig::default()
             .train(ScenarioDistribution::moderate())
             .scenarios_per_eval(4);
-        let spec = ScenarioSpec::for_generation(&config, 42, 3, 8);
+        let spec = ScenarioSpec::for_generation(&config, 42, 3, 8, 0);
         let holdout = HoldoutConfig::new(ScenarioDistribution::moderate()).scenarios(4);
         let plan = holdout_plan(&holdout, 42, 3);
         for (_, holdout_seed) in &plan {

@@ -9,13 +9,19 @@ cargo build --release --offline
 echo "== tier-1: test suite =="
 cargo test -q --offline
 
+echo "== workspace test suite =="
+# The tier-1 run above covers only the root package; the member
+# crates' own tests (backend and batch parity, telemetry parity, the
+# scenario golden fixtures, exec parity, ...) run here.
+cargo test -q --offline --workspace
+
 echo "== examples build =="
 cargo build --release --offline --examples
 
 echo "== exec determinism: parity at 1 and 4 worker threads =="
-# The parity property test covers 2/4/8 threads internally; the repro
-# binary re-checks end-to-end that --threads does not change results.
-cargo test -q --offline -p e3-platform --test exec_parity
+# The exec_parity property test (in the workspace suite above) covers
+# 2/4/8 threads internally; the repro binary re-checks end-to-end that
+# --threads does not change results.
 out1=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 1 --json)
 out4=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 4 --json)
 if [ "$out1" != "$out4" ]; then
