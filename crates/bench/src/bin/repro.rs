@@ -6,18 +6,15 @@
 //! ```
 //!
 //! Experiments: table4 table5 fig1b fig2 fig3 fig4 fig6 fig7 fig9a
-//! fig9b fig10a fig10b fig11 ablation exec plan jit batch islands
-//! serve generalize, plus `run` (a
+//! fig9b fig10a fig10b fig11 ablation exec plan jit islands serve
+//! generalize, plus `run` (a
 //! single evolve/evaluate run on one env/backend; `--threads N` shards
 //! the evaluation across N worker threads with bit-identical results).
 //! `exec` sweeps the worker-thread count and writes the measured
 //! scaling to `BENCH_exec.json`; `plan` times the CSR `NetPlan`
 //! executor against the preserved per-node reference, re-checks
 //! threaded repro parity, and writes `BENCH_plan.json` (nonzero exit
-//! on parity failure); `batch` times the population-major batched
-//! evaluation against the scalar path across thread counts, re-checks
-//! bitwise parity, and writes `BENCH_batch.json` (nonzero exit on
-//! parity failure); `jit` times natively compiled hot plans against
+//! on parity failure); `jit` times natively compiled hot plans against
 //! the interpreter on every environment, re-runs the seeded repro
 //! with the tier on and off at 1 and 4 threads gating exact
 //! `RunOutcome` equality, and writes `BENCH_jit.json` (nonzero exit
@@ -58,8 +55,8 @@ use e3_bench::svg::{LineChart, Series};
 use e3_bench::{DEFAULT_SEED, EXPERIMENTS};
 use e3_envs::EnvId;
 use e3_platform::experiments::{
-    ablation, batch, exec, fig10, fig11, fig1b, fig2, fig3, fig4, fig6, fig7, fig9, generalize,
-    jit, plan, table4, table5, Scale,
+    ablation, exec, fig10, fig11, fig1b, fig2, fig3, fig4, fig6, fig7, fig9, generalize, jit, plan,
+    table4, table5, Scale,
 };
 use e3_platform::telemetry::{Collector, MeteredCollector, NdjsonWriter, NullCollector, Tracer};
 use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform, PowerModel};
@@ -610,22 +607,6 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
                 return Err(
                     "islands parity/determinism/smoke FAILED (see BENCH_islands.json)".to_string(),
                 );
-            }
-            emit!(result);
-        }
-        "batch" => {
-            let result = try_run!(batch::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_batch.json", &json) {
-                eprintln!("warning: could not write BENCH_batch.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_batch.json");
-            }
-            if !result.parity_ok {
-                // The batched eval contract is bit-identity with the
-                // scalar serial path — a drift is a correctness bug,
-                // not a perf regression; fail loudly so CI catches it.
-                return Err("batched evaluation parity FAILED (see BENCH_batch.json)".to_string());
             }
             emit!(result);
         }

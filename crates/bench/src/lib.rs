@@ -42,7 +42,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "exec",
     "plan",
     "jit",
-    "batch",
     "islands",
     "serve",
     "generalize",

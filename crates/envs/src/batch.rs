@@ -1,13 +1,13 @@
-//! Batch-first environment stepping: many episodes in lockstep.
+//! Lockstep environment stepping: many episodes per call.
 //!
-//! `BENCH_exec.json` showed the per-individual eval API defeating the
-//! thread pool — sub-microsecond work items drown in scheduling
-//! overhead. The fix (the TensorNEAT insight) is to restructure the
-//! eval loop population-major: a [`BatchEnv`] advances a whole *batch*
-//! of episodes per call, reading and writing struct-of-arrays buffers
-//! ([`StepBatch`]) so the per-step cost is one virtual dispatch and a
-//! tight loop over lanes instead of one dispatch, one `Vec` allocation
-//! and one `Step` struct per individual.
+//! A [`BatchEnv`] advances a whole *batch* of episodes per call,
+//! reading and writing struct-of-arrays buffers ([`StepBatch`]). The
+//! only implementation is the generic [`ScalarBatch`] adapter, which
+//! owns one scalar [`Environment`] per lane. Platform evaluation does
+//! not step environments through this trait — it runs one scalar
+//! episode per genome — so the batch API serves tools that want to
+//! drive many episodes from one loop (e.g. the benchmark harness's
+//! env-step replay).
 //!
 //! # Lanes and parking
 //!
@@ -24,12 +24,8 @@
 //!
 //! Lane `i` of a batch reproduces, **bit for bit**, the trajectory the
 //! scalar environment produces from the same reset seed and action
-//! sequence. Lanes are fully independent: the hand-vectorized SoA
-//! implementations (`CartPoleBatch`, `LunarLanderBatch`) perform each
-//! lane's floating-point operations in exactly the scalar order, and
-//! the generic [`ScalarBatch`] adapter simply owns one scalar
-//! environment per lane. Batch composition and lane count never affect
-//! a lane's trajectory.
+//! sequence. Lanes are fully independent, so batch composition and
+//! lane count never affect a lane's trajectory.
 
 use crate::env::{Action, ActionSpace, Environment, Step};
 
@@ -160,9 +156,8 @@ pub trait BatchEnv {
 }
 
 /// Generic [`BatchEnv`] adapter over `N` scalar environments: the
-/// reference semantics every hand-vectorized implementation must
-/// reproduce, and the fallback [`crate::EnvId::make_batch`] uses for
-/// environments without a SoA port.
+/// reference semantics of the trait, and what [`crate::EnvId::make_batch`]
+/// returns for every suite environment.
 ///
 /// # Example
 ///

@@ -4,9 +4,7 @@
 //! thresholds.
 
 use crate::batch::{BatchEnv, ScalarBatch};
-use crate::cartpole::CartPoleBatch;
 use crate::env::Environment;
-use crate::lunar_lander::LunarLanderBatch;
 use crate::scenario::ScenarioParams;
 use crate::{Acrobot, BipedalWalker, CartPole, LunarLander, MountainCar, Pendulum, Pong};
 use serde::{Deserialize, Serialize};
@@ -77,42 +75,17 @@ impl EnvId {
         }
     }
 
-    /// Instantiates a lockstep batch of `lanes` episodes.
-    ///
-    /// CartPole and LunarLander — the two scaling workloads — get
-    /// their hand-vectorized struct-of-arrays implementations; the
-    /// rest fall back to the generic [`ScalarBatch`] adapter. Either
-    /// way, every lane's trajectory is bit-identical to the scalar
-    /// [`EnvId::make`] environment given the same seed and actions.
+    /// Instantiates a lockstep batch of `lanes` default-physics
+    /// episodes: a [`ScalarBatch`] owning one [`EnvId::make`]
+    /// environment per lane, so every lane's trajectory is
+    /// bit-identical to the scalar environment given the same seed and
+    /// actions.
     ///
     /// # Panics
     ///
     /// Panics if `lanes == 0`.
     pub fn make_batch(self, lanes: usize) -> Box<dyn BatchEnv> {
-        match self {
-            EnvId::CartPole => Box::new(CartPoleBatch::new(lanes)),
-            EnvId::LunarLander => Box::new(LunarLanderBatch::new(lanes)),
-            other => Box::new(ScalarBatch::from_fn(lanes, |_| other.make())),
-        }
-    }
-
-    /// Instantiates a lockstep batch with one lane per scenario
-    /// parameter set — how multi-scenario fitness packs heterogeneous
-    /// physics into the SoA stepping path. A lane built from
-    /// [`ScenarioParams::default`] is bit-identical to the matching
-    /// [`EnvId::make_batch`] lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn make_batch_scenarios(self, params: &[ScenarioParams]) -> Box<dyn BatchEnv> {
-        match self {
-            EnvId::CartPole => Box::new(CartPoleBatch::with_scenarios(params)),
-            EnvId::LunarLander => Box::new(LunarLanderBatch::with_scenarios(params)),
-            other => Box::new(ScalarBatch::from_fn(params.len(), |i| {
-                other.make_scenario(&params[i])
-            })),
-        }
+        Box::new(ScalarBatch::from_fn(lanes, |_| self.make()))
     }
 
     /// The paper's env index (1-based, per footnote 4).
@@ -327,25 +300,6 @@ mod tests {
                     break;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn make_batch_scenarios_mirrors_scalar_metadata() {
-        let params = vec![
-            ScenarioParams::default(),
-            ScenarioParams {
-                gravity_scale: 1.1,
-                ..ScenarioParams::default()
-            },
-        ];
-        for id in EnvId::ALL {
-            let env = id.make();
-            let batch = id.make_batch_scenarios(&params);
-            assert_eq!(batch.lanes(), 2, "{id}");
-            assert_eq!(batch.observation_size(), env.observation_size(), "{id}");
-            assert_eq!(batch.action_space(), env.action_space(), "{id}");
-            assert_eq!(batch.name(), env.name(), "{id}");
         }
     }
 

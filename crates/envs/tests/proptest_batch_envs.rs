@@ -1,9 +1,8 @@
 //! Property tests for the batched environment API.
 //!
-//! [`EnvId::make_batch`] — whether it returns a hand-vectorized SoA
-//! port (CartPole, LunarLander) or the generic `ScalarBatch` adapter —
-//! must reproduce `lanes` independent scalar environments **bit for
-//! bit**: same reset observations, same per-step observations, rewards
+//! [`EnvId::make_batch`] — the generic `ScalarBatch` adapter for every
+//! suite environment — must reproduce `lanes` independent scalar
+//! environments **bit for bit**: same reset observations, same per-step observations, rewards
 //! and done flags per lane, with early-finished lanes parked (reward
 //! `0.0`, observation and flags frozen) while the rest keep stepping.
 

@@ -8,13 +8,15 @@
 //!    the scenario refactor (population 24, seed 42, five stepped
 //!    generations) and must never drift: they are the proof that the
 //!    vanilla gate's K = 1 shared-seed spec, run through every
-//!    evaluation kernel (batched, JIT scalar, INAX wave loop), replays
-//!    the legacy fixed-env evaluation exactly.
+//!    evaluation kernel (scalar software kernel with the JIT tier off
+//!    and on, INAX wave loop), replays the legacy fixed-env evaluation
+//!    exactly. Pinned K = 4 fixtures do the same for multi-scenario
+//!    training on the CPU backend.
 //! 2. **Scenario determinism** — multi-scenario training is a pure
 //!    function of the config: sampled parameters and final
 //!    populations are bit-identical across thread counts (1/4/8) and
-//!    across the scalar and batched kernels, and each island of an
-//!    archipelago trains on its own deterministic distribution.
+//!    JIT settings, and each island of an archipelago trains on its
+//!    own deterministic distribution.
 
 use e3_envs::{EnvId, ScenarioDistribution};
 use e3_islands::island_seed;
@@ -71,6 +73,72 @@ const GOLDEN: &[(EnvId, u64, [u64; 5], [u64; 3], u64)] = &[
         ],
         178_625,
     ),
+    (
+        EnvId::LunarLander,
+        0x192a_18e5_1f12_0ecc,
+        [
+            0xc050_8c37_bf4e_61c0,
+            0xc043_03e3_38c0_69a4,
+            0x4064_cf9a_d2df_eb97,
+            0xc03b_c1f0_fc7c_6260,
+            0xc04d_21c4_48eb_a43d,
+        ],
+        [
+            0x400a_b7c8_8e79_aae7,
+            0x404d_779c_9fda_0bb6,
+            0x3fb7_6ae1_b5bd_10c3,
+        ],
+        290_927,
+    ),
+];
+
+/// Pinned K = 4 fixtures: `(env, aggregation, population fingerprint,
+/// per-generation best-fitness bits)` for the `moderate` training
+/// preset, population 14, seed 42, three generations on the CPU
+/// backend. Captured while JIT-off multi-scenario runs still went
+/// through the lockstep batched kernel; they hold for every thread
+/// count and JIT setting of the one scalar kernel that replaced it.
+const SCENARIO_GOLDEN: &[(EnvId, FitnessAggregation, u64, [u64; 3])] = &[
+    (
+        EnvId::CartPole,
+        FitnessAggregation::Mean,
+        0xb910_0ff9_f3dc_9c29,
+        [
+            0x406f_5800_0000_0000,
+            0x407c_2c00_0000_0000,
+            0x407c_cc00_0000_0000,
+        ],
+    ),
+    (
+        EnvId::CartPole,
+        FitnessAggregation::CVaR { alpha: 0.25 },
+        0x9357_5369_ed6b_c14d,
+        [
+            0x406a_2000_0000_0000,
+            0x406c_2000_0000_0000,
+            0x407b_a000_0000_0000,
+        ],
+    ),
+    (
+        EnvId::LunarLander,
+        FitnessAggregation::Mean,
+        0xc59d_387d_9ffb_06ef,
+        [
+            0xc052_6db5_031c_586c,
+            0xc051_0707_2de5_59ec,
+            0xc044_cef1_283a_1493,
+        ],
+    ),
+    (
+        EnvId::LunarLander,
+        FitnessAggregation::CVaR { alpha: 0.25 },
+        0xf106_3ca3_76f4_6aad,
+        [
+            0xc057_e160_5d95_5756,
+            0xc055_f77a_0b93_097f,
+            0xc054_8cae_4fe0_2afc,
+        ],
+    ),
 ];
 
 /// One fixture run's `(population fingerprint, best-fitness bits,
@@ -110,9 +178,9 @@ fn fixture_run(
     )
 }
 
-/// Every evaluation route a default config can take: the batched
-/// software kernel (CPU, GPU), the INAX wave loop, and the scalar
-/// software kernel the JIT tier selects — each at 1 and 4 threads.
+/// Every evaluation route a default config can take: the scalar
+/// software kernel (CPU with the JIT tier off and on, GPU) and the
+/// INAX wave loop — each at 1 and 4 threads.
 #[test]
 fn default_config_matches_pre_scenario_fixtures() {
     for &(env, fingerprint, bests, modeled, cycles) in GOLDEN {
@@ -144,6 +212,44 @@ fn default_config_matches_pre_scenario_fixtures() {
                     };
                     assert_eq!(run_cycles, expected_cycles, "{run} INAX cycles diverged");
                 }
+            }
+        }
+    }
+}
+
+/// Multi-scenario training on the CPU backend replays the pinned
+/// K = 4 fixtures at 1 and 4 threads with the JIT tier off and on.
+#[test]
+fn k4_scenario_training_matches_pinned_fixtures() {
+    for &(env, aggregation, fingerprint, bests) in SCENARIO_GOLDEN {
+        for jit in [false, true] {
+            for threads in [1usize, 4] {
+                let run = format!("{env:?}/{aggregation:?}@{threads} jit={jit}");
+                let mut config = scenario_config(env, threads, 4);
+                config.scenario = config.scenario.aggregation(aggregation);
+                config.jit = JitConfig {
+                    enabled: jit,
+                    ..JitConfig::default()
+                };
+                let mut platform = E3Platform::new(config, BackendKind::Cpu, 42);
+                let run_bests: Vec<u64> = (0..3)
+                    .map(|_| {
+                        platform
+                            .step_with(&mut NullCollector)
+                            .expect("fixture step succeeds")
+                            .to_bits()
+                    })
+                    .collect();
+                assert_eq!(
+                    population_fingerprint(platform.population()),
+                    fingerprint,
+                    "{run} population diverged from pinned fixture"
+                );
+                assert_eq!(
+                    run_bests,
+                    bests.to_vec(),
+                    "{run} fitness trajectory diverged"
+                );
             }
         }
     }
@@ -187,9 +293,9 @@ proptest! {
     }
 
     /// Final populations of a multi-scenario training run are
-    /// bit-identical across thread counts and backends (the batched
-    /// software kernel, threaded software kernel, and INAX wave loop
-    /// all reduce in genome order).
+    /// bit-identical across thread counts, JIT settings and backends
+    /// (the scalar software kernel at any thread count or tier, and
+    /// the INAX wave loop, all reduce in genome order).
     #[test]
     fn scenario_populations_are_bit_identical_across_threads(
         seed in 0u64..100,
@@ -206,19 +312,20 @@ proptest! {
             }
             population_fingerprint(p.population())
         };
-        for threads in [4usize, 8] {
-            let mut p = E3Platform::new(
-                scenario_config(EnvId::CartPole, threads, k),
-                BackendKind::Cpu,
-                seed,
-            );
+        for (threads, jit) in [(4usize, false), (8, false), (1, true), (4, true)] {
+            let mut config = scenario_config(EnvId::CartPole, threads, k);
+            config.jit = JitConfig {
+                enabled: jit,
+                hot_threshold: 1,
+            };
+            let mut p = E3Platform::new(config, BackendKind::Cpu, seed);
             for _ in 0..3 {
                 p.step_with(&mut NullCollector).unwrap();
             }
             prop_assert_eq!(
                 population_fingerprint(p.population()),
                 reference,
-                "threads={} diverged", threads
+                "threads={} jit={} diverged", threads, jit
             );
         }
         let mut inax = E3Platform::new(

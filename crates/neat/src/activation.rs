@@ -69,30 +69,6 @@ impl Activation {
         }
     }
 
-    /// Applies a fast approximation of the activation function.
-    ///
-    /// `Sigmoid` and `Tanh` — the two transcendental activations that
-    /// dominate batched-inference time — are replaced by a rational
-    /// (7,6)-Padé tanh approximant with a saturation cutoff; every
-    /// other variant delegates to the exact [`Activation::apply`].
-    /// The approximation error is below `1e-3` in absolute value over
-    /// the full input range, outputs stay inside the exact function's
-    /// range, and saturation behaviour at ±∞ is preserved.
-    ///
-    /// This is **not** part of the determinism contract: results
-    /// differ from [`Activation::apply`] in the low bits. The batched
-    /// executor only calls it when the `fast-math` cargo feature is
-    /// enabled (off by default); everything else in the platform uses
-    /// the exact path unconditionally.
-    #[inline]
-    pub fn apply_fast(self, x: f64) -> f64 {
-        match self {
-            Activation::Sigmoid => 0.5 * (1.0 + fast_tanh(2.45 * x.clamp(-60.0, 60.0))),
-            Activation::Tanh => fast_tanh(x.clamp(-60.0, 60.0)),
-            other => other.apply(x),
-        }
-    }
-
     /// Short lowercase name, matching `neat-python` conventions.
     pub fn name(self) -> &'static str {
         match self {
@@ -106,22 +82,6 @@ impl Activation {
             Activation::Clamped => "clamped",
         }
     }
-}
-
-/// Rational tanh: the (7,6)-Padé approximant of `tanh(x)` around 0,
-/// clamped to `[-1, 1]`, with hard saturation past `|x| ≈ 4.97` where
-/// `|tanh(x)|` is within `1e-4` of 1 anyway. Division is an order of
-/// magnitude cheaper than the `exp` behind `f64::tanh`, which is what
-/// makes the `fast-math` batched kernel worthwhile.
-#[inline]
-fn fast_tanh(x: f64) -> f64 {
-    if x.abs() >= 4.97 {
-        return if x > 0.0 { 1.0 } else { -1.0 };
-    }
-    let x2 = x * x;
-    let p = x * (135135.0 + x2 * (17325.0 + x2 * (378.0 + x2)));
-    let q = 135135.0 + x2 * (62370.0 + x2 * (3150.0 + 28.0 * x2));
-    (p / q).clamp(-1.0, 1.0)
 }
 
 impl fmt::Display for Activation {
@@ -189,50 +149,6 @@ mod tests {
         for a in Activation::ALL {
             for x in [-1e12, -1.0, 0.0, 1.0, 1e12] {
                 assert!(a.apply(x).is_finite(), "{a} not finite at {x}");
-            }
-        }
-    }
-
-    #[test]
-    fn apply_fast_stays_within_documented_error_bound() {
-        // Dense grid over the active region plus the saturated tails.
-        let mut worst: f64 = 0.0;
-        for i in -12000..=12000 {
-            let x = i as f64 / 1000.0; // [-12, 12] in 1e-3 steps
-            for a in [Activation::Sigmoid, Activation::Tanh] {
-                let err = (a.apply_fast(x) - a.apply(x)).abs();
-                worst = worst.max(err);
-            }
-        }
-        assert!(worst < 1e-3, "worst approximation error {worst}");
-    }
-
-    #[test]
-    fn apply_fast_preserves_range_and_saturation() {
-        for x in [-1e12, -60.0, -5.0, -4.97, 0.0, 4.97, 5.0, 60.0, 1e12] {
-            let t = Activation::Tanh.apply_fast(x);
-            assert!((-1.0..=1.0).contains(&t), "tanh range at {x}: {t}");
-            let s = Activation::Sigmoid.apply_fast(x);
-            assert!((0.0..=1.0).contains(&s), "sigmoid range at {x}: {s}");
-        }
-        assert_eq!(Activation::Tanh.apply_fast(1e9), 1.0);
-        assert_eq!(Activation::Tanh.apply_fast(-1e9), -1.0);
-        assert_eq!(Activation::Tanh.apply_fast(0.0), 0.0);
-        assert_eq!(Activation::Sigmoid.apply_fast(0.0), 0.5);
-    }
-
-    #[test]
-    fn apply_fast_is_exact_for_non_transcendental_activations() {
-        for a in [
-            Activation::Relu,
-            Activation::Identity,
-            Activation::Gauss,
-            Activation::Sin,
-            Activation::Abs,
-            Activation::Clamped,
-        ] {
-            for x in [-3.7, -1.0, 0.0, 0.4, 2.9] {
-                assert_eq!(a.apply_fast(x).to_bits(), a.apply(x).to_bits(), "{a}");
             }
         }
     }

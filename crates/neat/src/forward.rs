@@ -3,9 +3,9 @@
 //! Episode loops (one network call per environment step) only need
 //! "run one forward pass into a reusable buffer". [`ForwardPass`]
 //! names exactly that contract, so the same episode kernel can drive
-//! the interpreted [`Network`](crate::Network), the batched lanes'
-//! scalar twin, or a natively compiled plan (`e3-jit`'s
-//! `CompiledPlan`) — the execution *tiers* — interchangeably.
+//! the interpreted [`Network`](crate::Network) or a natively compiled
+//! plan (`e3-jit`'s `CompiledPlan`) — the execution *tiers* —
+//! interchangeably.
 //!
 //! Every implementation must be **bit-identical** to
 //! [`NetPlan::execute_into_buf`](crate::NetPlan::execute_into_buf) on

@@ -66,7 +66,6 @@ pub mod innovation;
 pub mod lineage;
 pub mod network;
 pub mod plan;
-pub mod plan_batch;
 pub mod population;
 pub mod recurrent;
 pub mod reference;
@@ -85,7 +84,6 @@ pub use innovation::{Innovation, InnovationTracker};
 pub use lineage::SpeciesHistory;
 pub use network::Network;
 pub use plan::NetPlan;
-pub use plan_batch::PlanBatch;
 pub use population::{EvaluatedGenome, Population};
 pub use recurrent::RecurrentNetwork;
 pub use reference::ReferenceNetwork;

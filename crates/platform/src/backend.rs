@@ -7,11 +7,12 @@
 //! executed and therefore how long it takes (paper §VI-A's three
 //! settings).
 //!
-//! Each backend has one kernel per execution style — software scalar,
-//! software batched, INAX wave loop — over a [`ScenarioSpec`]; the
-//! fixed-env entry point [`EvalBackend::try_evaluate_population`] is
-//! its K = 1 case. Evaluation is fallible: a genome that cannot be
-//! lowered to a feed-forward network surfaces as
+//! Each backend has one kernel over a [`ScenarioSpec`] — the software
+//! backends share the scalar per-genome kernel, INAX runs its wave
+//! loop — and the fixed-env entry point
+//! [`EvalBackend::try_evaluate_population`] is its K = 1 case.
+//! Evaluation is fallible: a genome that cannot be lowered to a
+//! feed-forward network surfaces as
 //! [`EvalError::NotFeedForward`] instead of a panic, so callers (the
 //! platform loop, sweeps, long benchmark campaigns) can decide how to
 //! react. Backends are constructed either directly or through the
@@ -20,12 +21,12 @@
 
 use crate::scenario::{aggregate_fitness, FitnessAggregation, ScenarioSpec};
 use crate::timing::{GpuCostModel, SwCostModel};
-use e3_envs::{decode_action, Action, EnvId, Environment, ScenarioParams, StepBatch};
+use e3_envs::{decode_action, EnvId, Environment, ScenarioParams};
 use e3_exec::{
     AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, JitConfig, SharedExecutor,
 };
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
-use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, Network, PlanBatch};
+use e3_neat::{DecodeError, ForwardPass, Genome, Network};
 use e3_telemetry::Tracer;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -171,19 +172,16 @@ pub struct EvalOutcome {
 ///
 /// Evaluation is always over a [`ScenarioSpec`]: every genome runs one
 /// episode per sampled world and its per-world fitnesses aggregate into
-/// one. A backend implements the scalar kernel (and optionally a
-/// batched one) once; the fixed-env entry points
-/// [`EvalBackend::try_evaluate_population`] and
-/// [`EvalBackend::try_evaluate_population_batched`] are the K = 1 case
+/// one. A backend implements that one kernel; the fixed-env entry
+/// point [`EvalBackend::try_evaluate_population`] is its K = 1 case
 /// ([`ScenarioSpec::fixed_env`]).
 pub trait EvalBackend {
     /// Backend identity.
     fn kind(&self) -> BackendKind;
 
-    /// Evaluates every genome over the spec's K scenarios with the
-    /// scalar per-genome path, returning aggregated fitnesses and
-    /// modeled timing, or an [`EvalError`] if any genome cannot be
-    /// executed.
+    /// Evaluates every genome over the spec's K scenarios, returning
+    /// aggregated fitnesses and modeled timing, or an [`EvalError`] if
+    /// any genome cannot be executed.
     ///
     /// # Panics
     ///
@@ -195,33 +193,6 @@ pub trait EvalBackend {
         env: EnvId,
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError>;
-
-    /// Evaluates every genome over the spec's K scenarios through the
-    /// population-major batched pipeline where the backend supports
-    /// it.
-    ///
-    /// The contract is strict: the returned [`EvalOutcome`] must be
-    /// **bit-identical** to
-    /// [`EvalBackend::try_evaluate_population_scenarios`] on the same
-    /// arguments (with the `fast-math` cargo feature off). The default
-    /// implementation simply delegates to the scalar path, so backends
-    /// without a batched kernel are automatically conformant; the
-    /// software backends (CPU, GPU) override it with the
-    /// [`e3_neat::PlanBatch`] + [`e3_envs::BatchEnv`] lockstep kernel,
-    /// which shards the population per-worker instead of
-    /// per-individual.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population_scenarios`].
-    fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        self.try_evaluate_population_scenarios(genomes, env, spec)
-    }
 
     /// Evaluates every genome on one default-physics episode of `env`
     /// started from `episode_seed`: the scalar kernel on the K = 1
@@ -238,24 +209,6 @@ pub trait EvalBackend {
     ) -> Result<EvalOutcome, EvalError> {
         let spec = ScenarioSpec::fixed_env(episode_seed, genomes.len());
         self.try_evaluate_population_scenarios(genomes, env, &spec)
-    }
-
-    /// Batched twin of [`EvalBackend::try_evaluate_population`]:
-    /// [`EvalBackend::try_evaluate_population_scenarios_batched`] on
-    /// the K = 1 [`ScenarioSpec::fixed_env`] spec, bit-identical to the
-    /// scalar entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population_scenarios`].
-    fn try_evaluate_population_batched(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        let spec = ScenarioSpec::fixed_env(episode_seed, genomes.len());
-        self.try_evaluate_population_scenarios_batched(genomes, env, &spec)
     }
 
     /// Takes (consumes) the executor statistics of the most recent
@@ -354,16 +307,6 @@ fn software_shard_size(items: usize, workers: usize) -> usize {
     items.div_ceil(workers.max(1) * 4).max(1)
 }
 
-/// Shard size for **batched** software evaluation: one coarse shard per
-/// worker. Unlike the scalar path (which over-shards 4× for stealing),
-/// the batched kernel amortizes per-step overhead across its whole
-/// lane set, so bigger batches are strictly better and imbalance is
-/// absorbed by lane parking instead of work stealing. Depends only on
-/// the population size and worker count, never on timing.
-fn batch_shard_size(items: usize, workers: usize) -> usize {
-    items.div_ceil(workers.max(1)).max(1)
-}
-
 /// The per-shard closure state of a scenario evaluation: the sampled
 /// worlds, the genome-major episode-seed matrix, and the aggregation,
 /// shared immutably across workers.
@@ -404,8 +347,8 @@ fn check_spec(genomes: &[Genome], spec: &ScenarioSpec) {
 /// (through the per-worker cache, which may hand out the JIT tier's
 /// native twin) then run one episode per sampled world, collapsing the
 /// per-scenario fitnesses with the spec's aggregation and pricing each
-/// inference with `cost`. The reference the batched kernel is checked
-/// against.
+/// inference with `cost`. Every software backend evaluates through
+/// this kernel.
 ///
 /// Bit-identical to a serial loop: shard tasks depend only on genome
 /// index, and rows are reduced lowest-index-first (see `e3-exec`'s
@@ -470,144 +413,6 @@ where
                     aggregate_fitness(&fits, shared.aggregation),
                     genome_steps,
                     per_inference * genome_steps as f64,
-                ))
-            })
-            .collect()
-    })?;
-    Ok((collect_rows(run.results)?, run.stats))
-}
-
-/// Batched software evaluation: each shard packs `genomes × K` lanes
-/// (genome-major, each genome's [`NetPlan`] replicated K times) into
-/// one [`PlanBatch`], drives all lanes through a heterogeneous-scenario
-/// [`e3_envs::BatchEnv`] in lockstep, parks lanes whose episodes finish
-/// early, then aggregates per genome.
-///
-/// Bit-identical to [`run_software_population_scenarios`] with
-/// `fast-math` off: every lane's FP order matches its scalar twin,
-/// parked lanes contribute nothing, plans are priced identically to
-/// their decoded networks, and per-genome reduction (aggregation, step
-/// sums, pricing) uses the same expressions in population order.
-fn run_software_population_scenarios_batched<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    spec: &ScenarioSpec,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&NetPlan) -> f64 + Send + Sync + 'static,
-{
-    check_spec(genomes, spec);
-    let pop: Arc<[Genome]> = genomes.into();
-    let shared = SharedSpec::new(spec);
-    let shard_size = batch_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let base = range.start;
-        let k = shared.scenarios();
-        // Decode every resident up front through the worker's plan
-        // cache. The cache hands out borrows tied to `&mut self`, so
-        // plans are cloned out before batching. On the first decode
-        // failure the shard still returns one row per item (the
-        // executor asserts that): an `Err` at the failing index and
-        // inert rows elsewhere — the index-ordered reduce then surfaces
-        // the lowest-indexed failure, exactly like the scalar path.
-        let mut plans = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            match scratch.cache().get_or_plan(&pop[i]) {
-                Ok(plan) => plans.push(plan.clone()),
-                Err(reason) => {
-                    return range
-                        .map(|j| -> SoftwareRow {
-                            if j == i {
-                                Err((i, reason.clone()))
-                            } else {
-                                Ok((0.0, 0, 0.0))
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-        let shard_genomes = plans.len();
-        let lanes = shard_genomes * k;
-        let per_inference: Vec<f64> = plans.iter().map(&cost).collect();
-        // Genome-major lane layout: lane = local_genome * K + scenario.
-        let plan_refs: Vec<&NetPlan> = plans
-            .iter()
-            .flat_map(|plan| std::iter::repeat_n(plan, k))
-            .collect();
-        let batch = PlanBatch::build(&plan_refs);
-        let lane_params: Vec<ScenarioParams> =
-            (0..lanes).map(|lane| shared.params[lane % k]).collect();
-        let lane_seeds: Vec<u64> = range
-            .clone()
-            .flat_map(|i| {
-                let seeds = &shared.episode_seeds;
-                (0..k).map(move |s| seeds[i * k + s])
-            })
-            .collect();
-        let mut env = env_id.make_batch_scenarios(&lane_params);
-        let space = env.action_space();
-        let mut sb = StepBatch::new(lanes, env.observation_size());
-        env.reset_batch(&lane_seeds, &mut sb);
-        let mut values = vec![0.0; batch.value_buffer_slots()];
-        let outputs_per_lane = batch.num_outputs();
-        let mut outputs = vec![0.0; lanes * outputs_per_lane];
-        let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
-        let mut was_active = vec![false; lanes];
-        let mut fitness = vec![0.0f64; lanes];
-        let mut steps = vec![0u64; lanes];
-        // Lockstep episodes interleave, so their spans cannot nest
-        // lexically: one explicit timer per lane, finished when its
-        // episode parks (same convention as the INAX wave loop).
-        let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..lanes)
-            .map(|lane| {
-                let mut timer = tracer.start("episode", "env");
-                timer.arg("genome_index", (base + lane / k) as f64);
-                timer.arg("scenario", (lane % k) as f64);
-                Some(timer)
-            })
-            .collect();
-        while !sb.all_parked() {
-            batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
-            for b in 0..lanes {
-                if sb.active[b] {
-                    actions[b] = decode_action(
-                        &outputs[b * outputs_per_lane..(b + 1) * outputs_per_lane],
-                        &space,
-                    );
-                    steps[b] += 1;
-                }
-            }
-            was_active.copy_from_slice(&sb.active);
-            env.step_batch(&actions, &mut sb);
-            for b in 0..lanes {
-                // Accumulate only lanes that actually stepped, so the
-                // sum is the exact FP sequence of the solo episode.
-                if was_active[b] {
-                    fitness[b] += sb.rewards[b];
-                    if !sb.active[b] {
-                        if let Some(mut timer) = episode_timers[b].take() {
-                            timer.arg("steps", steps[b] as f64);
-                            timer.finish();
-                        }
-                    }
-                }
-            }
-        }
-        (0..shard_genomes)
-            .map(|g| {
-                let fits = &fitness[g * k..(g + 1) * k];
-                let genome_steps: u64 = steps[g * k..(g + 1) * k].iter().sum();
-                Ok((
-                    aggregate_fitness(fits, shared.aggregation),
-                    genome_steps,
-                    per_inference[g] * genome_steps as f64,
                 ))
             })
             .collect()
@@ -733,25 +538,6 @@ impl EvalBackend for CpuBackend {
         Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
     }
 
-    fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| model.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
-    }
-
     fn take_exec_stats(&mut self) -> ExecStatsState {
         match self.last_exec.take() {
             Some(stats) => ExecStatsState::Ready(stats),
@@ -852,25 +638,6 @@ impl EvalBackend for GpuBackend {
         Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
     }
 
-    fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| gpu.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-
     fn take_exec_stats(&mut self) -> ExecStatsState {
         match self.last_exec.take() {
             Some(stats) => ExecStatsState::Ready(stats),
@@ -963,9 +730,7 @@ impl EvalBackend for InaxBackend {
     /// fresh scenario-parameterized environments — weights stream onto
     /// the PUs a single time however many worlds the wave faces.
     /// Per-resident fitnesses aggregate exactly like the software
-    /// backends, so all backends agree on fitness. INAX already batches
-    /// onto the accelerator's PUs, so the batched entry point takes
-    /// this loop too (the trait default).
+    /// backends, so all backends agree on fitness.
     fn try_evaluate_population_scenarios(
         &mut self,
         genomes: &[Genome],
@@ -1155,19 +920,6 @@ impl EvalBackend for AnyBackend {
             AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
             AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
             AnyBackend::Inax(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
-        }
-    }
-
-    fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Inax(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
         }
     }
 
@@ -1603,103 +1355,32 @@ mod tests {
         assert_eq!(a.fitnesses, b.fitnesses);
     }
 
-    #[cfg(not(feature = "fast-math"))]
     #[test]
-    fn batched_eval_is_bit_identical_to_scalar() {
-        // Odd population sizes exercise shard remainders; 1/4/8
-        // threads exercise single-batch and multi-batch sharding (and,
-        // for K > 1, multi-shard lane packing).
-        for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
-            for n in [13, 7] {
-                let pop = genomes(env, n);
-                for sp in specs(n) {
-                    let k = sp.scenarios();
-                    let a = CpuBackend::default()
-                        .try_evaluate_population_scenarios(&pop, env, &sp)
-                        .expect("scalar eval succeeds");
-                    for threads in [1usize, 4, 8] {
-                        let b = CpuBackend::with_threads(SwCostModel::default(), threads)
-                            .try_evaluate_population_scenarios_batched(&pop, env, &sp)
-                            .expect("batched eval succeeds");
-                        assert_eq!(
-                            a, b,
-                            "{env:?} n={n} K={k} batched@{threads} threads diverged from scalar"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn batched_gpu_pricing_matches_scalar_gpu() {
-        let pop = genomes(EnvId::CartPole, 9);
-        let mut scalar = GpuBackend::default();
-        let mut batched = GpuBackend::default();
-        let a = scalar
-            .try_evaluate_population(&pop, EnvId::CartPole, 11)
-            .expect("scalar eval succeeds");
-        let b = batched
-            .try_evaluate_population_batched(&pop, EnvId::CartPole, 11)
-            .expect("batched eval succeeds");
-        assert_eq!(a, b, "GPU cost model must price plans identically");
-    }
-
-    #[test]
-    fn batched_entry_point_works_on_every_backend_kind() {
-        let pop = genomes(EnvId::CartPole, 6);
-        for kind in BackendKind::ALL {
-            let mut scalar = kind.builder().build();
-            let mut batched = kind.builder().build();
-            let a = scalar
-                .try_evaluate_population(&pop, EnvId::CartPole, 7)
-                .expect("scalar eval succeeds");
-            let b = batched
-                .try_evaluate_population_batched(&pop, EnvId::CartPole, 7)
-                .expect("batched eval succeeds");
-            assert_eq!(a.fitnesses, b.fitnesses, "{kind} batched fitness diverged");
-            assert_eq!(a.steps_per_genome, b.steps_per_genome);
-        }
-    }
-
-    #[test]
-    fn batched_recurrent_genome_reports_lowest_index() {
+    fn recurrent_genomes_report_lowest_index() {
         let mut pop = genomes(EnvId::CartPole, 5);
         pop[1] = make_cyclic(&pop[1]);
         pop[3] = make_cyclic(&pop[3]);
         for sp in specs(pop.len()) {
-            for threads in [1usize, 2, 4] {
-                let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let err = backend
-                    .try_evaluate_population_scenarios_batched(&pop, EnvId::CartPole, &sp)
-                    .expect_err("cyclic genome must be rejected");
-                match err {
-                    EvalError::NotFeedForward { genome_index, .. } => {
-                        assert_eq!(genome_index, 1, "lowest-indexed failure wins")
+            for kind in [BackendKind::Cpu, BackendKind::Inax] {
+                for threads in [1usize, 2, 4] {
+                    let err = kind
+                        .builder()
+                        .threads(threads)
+                        .build()
+                        .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &sp)
+                        .expect_err("cyclic genome must be rejected");
+                    match err {
+                        EvalError::NotFeedForward { genome_index, .. } => {
+                            assert_eq!(
+                                genome_index, 1,
+                                "{kind}@{threads}: lowest-indexed failure wins"
+                            )
+                        }
+                        other => panic!("expected NotFeedForward, got {other:?}"),
                     }
-                    other => panic!("expected NotFeedForward, got {other:?}"),
                 }
             }
         }
-    }
-
-    #[test]
-    fn batched_eval_traces_shard_and_episode_spans() {
-        let pop = genomes(EnvId::CartPole, 6);
-        let mut cpu = CpuBackend::default();
-        let tracer = Tracer::enabled();
-        cpu.set_tracer(tracer.clone());
-        cpu.try_evaluate_population_batched(&pop, EnvId::CartPole, 3)
-            .expect("batched eval succeeds");
-        let spans = tracer.spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"shard"), "shard spans recorded");
-        assert_eq!(
-            names.iter().filter(|n| **n == "episode").count(),
-            pop.len(),
-            "one episode span per genome"
-        );
     }
 
     /// Adds a recurrent self-loop on an output node, producing a

@@ -19,18 +19,16 @@
 //! | Fig. 10(a,b) (energy, FPGA utilization) | [`fig10`] |
 //! | Fig. 11 (INAX vs systolic array) | [`fig11`] |
 //!
-//! [`exec`], [`plan`], [`batch`], [`jit`] and [`generalize`] are
+//! [`exec`], [`plan`], [`jit`] and [`generalize`] are
 //! reproduction-specific: the host-side thread-scaling sweep of the
 //! `e3-exec` evaluation engine (a software Fig. 7), the CSR `NetPlan`
 //! executor microbenchmark with its end-to-end repro parity re-check,
-//! the population-major batched-evaluation throughput/parity sweep,
 //! the tiered-execution benchmark (hand-rolled x86-64 codegen for hot
 //! genomes, interpreter as the bit-exact oracle), and the
 //! scenario-distribution generalization sweep (train vs held-out
 //! fitness across K scenarios per evaluation).
 
 pub mod ablation;
-pub mod batch;
 pub mod exec;
 pub mod fig10;
 pub mod fig11;

@@ -771,22 +771,9 @@ impl E3Platform {
             genomes.len(),
             self.episode_seed,
         );
-        // The batched entry point is bit-identical to the scalar one
-        // (software backends run the population-major kernel, INAX its
-        // wave loop either way), so the platform takes it — except
-        // with the JIT tier enabled: the batched SoA kernel runs plans
-        // lockstep and cannot host per-genome native code, while the
-        // scalar loop consults the tiered decode cache.
-        let outcome = if self.config.jit.enabled {
+        let outcome =
             self.backend
-                .try_evaluate_population_scenarios(&genomes, self.config.env, &spec)?
-        } else {
-            self.backend.try_evaluate_population_scenarios_batched(
-                &genomes,
-                self.config.env,
-                &spec,
-            )?
-        };
+                .try_evaluate_population_scenarios(&genomes, self.config.env, &spec)?;
         self.episode_seed = self.episode_seed.wrapping_add(1);
         self.profile.evaluate += outcome.eval_seconds;
         self.profile.env += outcome.env_seconds;

@@ -77,8 +77,8 @@ pub enum FitnessAggregation {
 
 /// Collapses per-scenario fitnesses into one value.
 ///
-/// `Mean` sums in scenario order (the exact FP sequence both the
-/// scalar and batched kernels produce). `CVaR` sorts a copy ascending
+/// `Mean` sums in scenario order (the exact FP sequence the software
+/// kernel and the INAX wave loop both produce). `CVaR` sorts a copy ascending
 /// by `total_cmp` and averages the worst `ceil(alpha * K)` entries
 /// (at least one).
 ///

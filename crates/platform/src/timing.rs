@@ -15,7 +15,7 @@
 //! runtime (Fig. 1(b)), and a GPU that *loses* to the CPU on small
 //! irregular workloads (Fig. 9(b)).
 
-use e3_neat::{Genome, NetPlan, Network};
+use e3_neat::{Genome, Network};
 use serde::{Deserialize, Serialize};
 
 /// Cost model of the interpreted software runtime (CPU-side NEAT).
@@ -61,13 +61,7 @@ pub struct SwCostModel {
 impl SwCostModel {
     /// Modeled software time for one inference of `net`.
     pub fn inference_seconds(&self, net: &Network) -> f64 {
-        self.inference_seconds_plan(net.plan())
-    }
-
-    /// Modeled software time for one inference of a compiled `plan` —
-    /// the same cost, priced without decoding a [`Network`], so the
-    /// batched eval path charges bit-identically to the scalar path.
-    pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
+        let plan = net.plan();
         self.sec_per_inference
             + plan.num_nodes() as f64 * self.sec_per_node_eval
             + plan.num_connections() as f64 * self.sec_per_conn_eval
@@ -139,13 +133,7 @@ impl GpuCostModel {
     /// Modeled GPU time for one inference of `net`: the irregular
     /// network executes as its dense per-level counterpart.
     pub fn inference_seconds(&self, net: &Network) -> f64 {
-        self.inference_seconds_plan(net.plan())
-    }
-
-    /// Modeled GPU time for one inference of a compiled `plan` (see
-    /// [`GpuCostModel::inference_seconds`]); bit-identical to pricing
-    /// the decoded network.
-    pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
+        let plan = net.plan();
         let levels = plan.num_compute_levels() as f64;
         let widths = plan.level_widths();
         let mut dense_macs = 0.0;
@@ -201,21 +189,6 @@ mod tests {
         let sw = SwCostModel::default().inference_seconds(&net);
         let gpu = GpuCostModel::default().inference_seconds(&net);
         assert!(gpu > 10.0 * sw, "GPU {gpu} must be launch-bound vs SW {sw}");
-    }
-
-    #[test]
-    fn plan_pricing_is_bit_identical_to_network_pricing() {
-        let net = tiny_net();
-        let sw = SwCostModel::default();
-        let gpu = GpuCostModel::default();
-        assert_eq!(
-            sw.inference_seconds(&net).to_bits(),
-            sw.inference_seconds_plan(net.plan()).to_bits()
-        );
-        assert_eq!(
-            gpu.inference_seconds(&net).to_bits(),
-            gpu.inference_seconds_plan(net.plan()).to_bits()
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! keep-alive (every response closes the connection), no TLS, no
 //! request bodies.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// A parsed request line: method, path, and the raw query string (the
 /// part after `?`, if any). Headers are drained but ignored — no
@@ -30,8 +30,24 @@ impl Request {
     }
 }
 
+/// Longest request or header line accepted, terminator included. The
+/// per-read timeout never fires while bytes keep arriving, so without
+/// this bound a peer streaming a newline-free line grows the buffer
+/// without limit.
+const MAX_LINE: usize = 8192;
+
 fn bad_request(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("bad request: {what}"))
+}
+
+/// Reads one line of at most [`MAX_LINE`] bytes into `line`, returning
+/// the bytes read (`0` at end of stream).
+fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(line)?;
+    if n > MAX_LINE {
+        return Err(bad_request("line too long"));
+    }
+    Ok(n)
 }
 
 /// Reads one request head (request line plus headers, up to the blank
@@ -40,10 +56,11 @@ fn bad_request(what: &str) -> io::Error {
 /// # Errors
 ///
 /// I/O errors from the underlying stream (including read timeouts),
-/// or [`io::ErrorKind::InvalidData`] for a malformed request line.
+/// or [`io::ErrorKind::InvalidData`] for a malformed request line or a
+/// request or header line longer than 8 KiB.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line_bounded(reader, &mut line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before a request line",
@@ -59,7 +76,7 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     // endless header section.
     for _ in 0..128 {
         let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
+        let n = read_line_bounded(reader, &mut header)?;
         if n == 0 || header == "\r\n" || header == "\n" {
             break;
         }
@@ -196,6 +213,24 @@ mod tests {
         let raw = b"nonsense\r\n\r\n";
         let err = read_request(&mut BufReader::new(&raw[..])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_an_oversized_header_line() {
+        let mut raw = b"GET /metrics HTTP/1.1\r\nX-Filler: ".to_vec();
+        raw.resize(raw.len() + (1 << 20), b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let err = read_request(&mut BufReader::new(&raw[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn accepts_a_header_line_at_the_length_limit() {
+        let mut raw = b"GET /metrics HTTP/1.1\r\nX-Filler: ".to_vec();
+        raw.resize(raw.len() + MAX_LINE - "X-Filler: \r\n".len(), b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let request = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        assert_eq!(request.path, "/metrics");
     }
 
     #[test]

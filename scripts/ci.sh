@@ -11,9 +11,15 @@ cargo test -q --offline
 
 echo "== workspace test suite =="
 # The tier-1 run above covers only the root package; the member
-# crates' own tests (backend and batch parity, telemetry parity, the
-# scenario golden fixtures, exec parity, ...) run here.
+# crates' own tests (backend parity, telemetry parity, the scenario
+# golden fixtures, exec parity, ...) run here.
 cargo test -q --offline --workspace
+
+echo "== benchmark harness: builds and passes against the current crate APIs =="
+# The perfbench harness is a separate cargo project that links the
+# workspace crates; a crate API change that breaks it fails here rather
+# than in the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/harness/Cargo.toml
 
 echo "== examples build =="
 cargo build --release --offline --examples
@@ -37,13 +43,6 @@ echo "== plan executor: parity vs legacy reference, threads 1 and 4 =="
 # differs. Results land in BENCH_plan.json.
 cargo run --release --offline -q -p e3-bench --bin repro -- plan >/dev/null
 
-echo "== batched eval: bitwise parity vs scalar serial, threads 1/4/8 =="
-# `repro batch` times the population-major batched kernel against the
-# scalar per-individual path across thread counts and exits nonzero if
-# any fitness or episode-length bit differs. Results land in
-# BENCH_batch.json.
-cargo run --release --offline -q -p e3-bench --bin repro -- batch >/dev/null
-
 echo "== jit: tiered native execution, interpreter-oracle parity gate =="
 # `repro jit` microbenchmarks the e3-jit x86-64 tier against the
 # NetPlan interpreter on evolved genomes (bit-identical outputs
@@ -64,16 +63,6 @@ echo "== islands: archipelago sweep, parity/determinism gates, daemon smoke =="
 # the binary exits nonzero on any gate failure. Results land in
 # BENCH_islands.json.
 cargo run --release --offline -q -p e3-bench --bin repro -- islands >/dev/null
-
-echo "== fast-math: off by default, approximate kernel still in bounds =="
-# The fast-math feature forfeits batched/scalar bit-exactness, so it
-# must never be a default feature; the gated test suites then verify
-# the approximate kernel stays within its documented error envelope.
-if grep -Eq '^default *=.*fast-math' crates/neat/Cargo.toml crates/platform/Cargo.toml; then
-    echo "error: fast-math must not be a default cargo feature" >&2
-    exit 1
-fi
-cargo test -q --offline -p e3-neat --features fast-math
 
 echo "== observability: traced run exports valid artifacts =="
 # A short traced run must produce Perfetto-loadable trace JSON
